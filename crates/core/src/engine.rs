@@ -36,24 +36,35 @@
 //!   when the whole row deteriorated past the floor does the engine fall back
 //!   to a **rescan**.
 //!
-//! All rescans triggered by one commit share a single pruned walk over the
-//! senders in ready order (a sorted array kept incrementally — ready times
-//! only grow, so a commit re-sorts with one bubble pass and one insert).
-//! Each pending receiver retires from the walk as soon as the next ready time
-//! plus its static score offset ([`SelectionPolicy::edge_score_offset`])
-//! exceeds its provisional `(K_BEST+1)`-smallest score — sound because an
-//! edge score is bounded below by its sender's ready time plus that offset —
-//! and leaves with an exact rebuilt row and floor.
+//! Every receiver a commit leaves unrepaired is rebuilt by its own walk over
+//! the senders in ready order (a sorted array kept incrementally — ready
+//! times only grow, so a commit re-sorts with one bubble pass and one
+//! insert). The walk collects the exact `(K_BEST+1)`-smallest entries: the
+//! first `K_BEST` become the row, the last the floor. It has two modes:
+//!
+//! * **pruned** (the commit path): the receiver retires from the walk as
+//!   soon as the next ready time plus its static score offsets
+//!   ([`SelectionPolicy::edge_score_offset`]) exceeds its provisional floor,
+//!   and whole buckets of the ready order whose cached per-sender bound
+//!   ([`SelectionPolicy::sender_score_offset`]) exceeds it are skipped with
+//!   one comparison — sound because an edge score is bounded below by its
+//!   sender's ready time plus those offsets;
+//! * **unpruned** (the warm-start and crash-recovery rebuild): every sender
+//!   of A is scored, because the offset bounds only hold for
+//!   sender-time-sensitive policies and the rebuild runs for all of them.
+//!
+//! Both modes produce bit-identical rows, floors and gates wherever the
+//! pruned one is sound.
 //!
 //! Policies whose scores do not depend on ready times (Flat Tree, FEF) declare
 //! [`SelectionPolicy::sender_time_sensitive`] `false` and never trigger
 //! repairs. Together with the shared sorted-lookahead rows of
 //! [`LookaheadWorkspace`] this brings a full schedule to `O(n² log n)` from the
 //! seed's `O(n³)` (and worse with lookahead), with the rescan term — the
-//! remaining super-quadratic contribution — amortised away by the runner-up
-//! repairs (`benches/engine_scaling.rs` counts them; on Table-2 grids the
-//! repair rate is >99% at 100 clusters and still ~89% at 1000 — see the
-//! committed `BENCH_engine_scaling.json`).
+//! remaining super-quadratic contribution — amortised by the runner-up
+//! repairs (`benches/engine_scaling.rs` counts them; on Table-2 grids with
+//! the adaptive row widths the repair rate is 0.59 at 100 clusters and 0.79
+//! at 1000 — see the committed `BENCH_engine_scaling.json`).
 //!
 //! All engine buffers are reused across rounds, heuristics and problems: after
 //! warm-up, a call to [`ScheduleEngine::makespan`] performs **zero heap
@@ -140,7 +151,7 @@ pub const DEFAULT_K_BEST: usize = 16;
 
 /// Senders per bucket of the ready-order index: each bucket of the sorted
 /// sender array carries a cached minimum of `fl(ready + r_s)` (the per-sender
-/// score bound of [`SelectionPolicy::sender_score_offset`]) so the shared
+/// score bound of [`SelectionPolicy::sender_score_offset`]) so the pruned
 /// rescan walk can retire a whole bucket with one comparison. 32 keeps a
 /// bucket's ready times inside four cache lines and the per-commit dirty
 /// marking cheap; the minima are recomputed lazily, only when a walk actually
@@ -233,7 +244,7 @@ impl KBest {
 /// exact same floats — and each view is constructed over whichever one its
 /// call site streams contiguously. The offer loop (one fresh sender scored
 /// against every receiver) reads the sender-major row; the repair path and
-/// the shared rescan walk (many senders scored against one receiver) read the
+/// the rescan walk (many senders scored against one receiver) read the
 /// receiver-major row, which keeps each pending receiver's costs inside a few
 /// cache lines instead of striding a column through the whole matrix.
 /// Policies are none the wiser: [`EngineView::completion_estimate`] and
@@ -720,11 +731,11 @@ pub struct EngineTelemetry {
     pub promotions: u64,
     /// Invalidations that fell back to a pruned ready-order rescan.
     pub rescans: u64,
-    /// Senders examined by the shared rescan walks — the dominant rescan
+    /// Senders examined by the rescan walks — the dominant rescan
     /// cost (previously exported as `heap_pops`, a name that survived from
     /// the binary-heap implementation the sorted walk replaced).
     pub walked_senders: u64,
-    /// Whole buckets of the ready-order index the shared rescan walks skipped
+    /// Whole buckets of the ready-order index the rescan walks skipped
     /// with a single bound comparison instead of walking their senders
     /// individually.
     pub bucket_skips: u64,
@@ -973,7 +984,7 @@ pub trait SelectionPolicy: Send {
     /// policy must guarantee `edge_score(s, j) >= fl(fl(t + r_s) + d_j)`
     /// where `t` is the sender's ready time and `d_j` the post-rounding
     /// receiver bound. The bucketed ready-order index aggregates
-    /// `fl(ready(s) + r_s)` into per-bucket minima so the shared rescan walk
+    /// `fl(ready(s) + r_s)` into per-bucket minima so the rescan walk
     /// can skip a whole bucket of senders with one comparison instead of
     /// walking them individually.
     ///
@@ -1221,8 +1232,8 @@ struct EngineState {
     order: Vec<u32>,
     /// Position of each sender in `order` (`u32::MAX` while still in B).
     order_pos: Vec<u32>,
-    /// Receivers of the current commit that could not be repaired and await
-    /// the shared rescan walk.
+    /// Receivers whose rows await the rescan walk: those the current commit
+    /// could not repair, or every receiver of a warm-start rebuild.
     pending: Vec<u32>,
     /// Per-receiver static score offsets (`SelectionPolicy::edge_score_offset`)
     /// sharpening the walk's retirement bound.
@@ -1230,9 +1241,8 @@ struct EngineState {
     /// The post-rounding second bound component
     /// ([`SelectionPolicy::edge_score_post_offset`]).
     score_post: Vec<Time>,
-    /// Per-pending-receiver top `K_BEST + 1` buffers of the shared walk.
+    /// The rescan walk's top `K_BEST + 1` scratch, reused per receiver.
     tops: Vec<(Time, u32)>,
-    topn: Vec<u32>,
     /// Scratch for makespan computation without building a [`Schedule`].
     arrival: Vec<Time>,
     busy: Vec<Time>,
@@ -1251,7 +1261,7 @@ struct EngineState {
     /// the uniform path, per-edge payload-priced on the costed path.
     gp: Vec<Time>,
     /// Receiver-major twin of `tx` (`rx[r·n + s] = tx[s·n + r]`, bit for
-    /// bit): the repair path and the shared rescan walk score many senders
+    /// bit): the repair path and the rescan walk score many senders
     /// against one receiver, so they stream this transposed copy row-wise
     /// instead of striding a column of `tx` through the whole matrix.
     rx: Vec<Time>,
@@ -1267,7 +1277,7 @@ struct EngineState {
     sender_offset: Vec<Time>,
     /// Per-bucket minima of `fl(ready + r_s)` over [`WALK_BUCKET`]-sized
     /// slices of `order` — the one-comparison bucket-skip bound of the
-    /// shared rescan walk. Only valid where `bucket_dirty` is clear.
+    /// pruned rescan walk. Only valid where `bucket_dirty` is clear.
     bucket_min: Vec<Time>,
     /// Buckets whose cached minimum is stale (a member's ready time or
     /// position changed); recomputed lazily by the next walk that reaches
@@ -1288,6 +1298,9 @@ struct EngineState {
     /// current [`ReplayDelta`], so the checked replay mode scans `O(dirty)`
     /// per round instead of the whole bitmap.
     dirty_list: Vec<u32>,
+    /// The commits of the most recent logged run ([`EngineState::rounds`]
+    /// with `LOG`), moved out by [`EngineState::take_log`].
+    log: Vec<LoggedCommit>,
     telemetry: EngineTelemetry,
 }
 
@@ -1350,9 +1363,7 @@ impl EngineState {
             "prepare_tx must run before the round loop"
         );
         self.tops.clear();
-        self.tops.reserve(n * (k + 1));
-        self.topn.clear();
-        self.topn.reserve(n);
+        self.tops.reserve(k + 1);
         let buckets = n.div_ceil(WALK_BUCKET);
         self.bucket_min.clear();
         self.bucket_min.resize(buckets, Time::INFINITY);
@@ -1390,46 +1401,78 @@ impl EngineState {
             self.floor_score[r as usize] = Time::INFINITY;
             self.floor_sender[r as usize] = NO_SENDER;
         }
-        self.score_offset.clear();
-        self.score_offset.resize(problem.num_clusters(), Time::ZERO);
-        self.score_post.clear();
-        self.score_post.resize(problem.num_clusters(), Time::ZERO);
-        self.sender_offset.clear();
-        self.sender_offset
-            .resize(problem.num_clusters(), Time::ZERO);
+        self.fill_static_offsets(problem, policy);
+    }
+
+    /// Lets the policy rebuild its per-problem state against the current
+    /// sets. Sender-major view: the lookahead rows read `transfer(j, k)` for
+    /// consecutive `k`, which is exactly a `tx` row.
+    fn reset_policy<P: SelectionPolicy + ?Sized>(
+        &mut self,
+        problem: &BroadcastProblem,
+        policy: &mut P,
+    ) {
+        let EngineState {
+            in_a,
+            ready,
+            tx,
+            lookahead,
+            receivers,
+            ..
+        } = self;
+        let view = EngineView {
+            problem,
+            in_a,
+            ready,
+            mat: tx,
+            receiver_major: false,
+            receivers,
+            n: problem.num_clusters(),
+        };
+        policy.reset(&view, lookahead);
+    }
+
+    /// Fills the static score bounds the pruned rescan walk retires on: the
+    /// per-receiver offsets of every receiver still in B and the per-sender
+    /// offsets of every cluster (each eventually sends). All zero for
+    /// policies that are not sender-time-sensitive.
+    fn fill_static_offsets<P: SelectionPolicy + ?Sized>(
+        &mut self,
+        problem: &BroadcastProblem,
+        policy: &P,
+    ) {
+        let n = problem.num_clusters();
+        let EngineState {
+            receivers,
+            score_offset,
+            score_post,
+            sender_offset,
+            min_in,
+            min_out,
+            ..
+        } = self;
+        score_offset.clear();
+        score_offset.resize(n, Time::ZERO);
+        score_post.clear();
+        score_post.resize(n, Time::ZERO);
+        sender_offset.clear();
+        sender_offset.resize(n, Time::ZERO);
         if policy.sender_time_sensitive() {
-            for &r in &self.receivers {
-                self.score_offset[r as usize] = policy.edge_score_offset(
-                    problem,
-                    ClusterId(r as usize),
-                    self.min_in[r as usize],
-                );
-                self.score_post[r as usize] =
-                    policy.edge_score_post_offset(problem, ClusterId(r as usize));
+            for &r in receivers.iter() {
+                let r = r as usize;
+                score_offset[r] = policy.edge_score_offset(problem, ClusterId(r), min_in[r]);
+                score_post[r] = policy.edge_score_post_offset(problem, ClusterId(r));
             }
-            // Every cluster eventually sends: fill the per-sender bounds for
-            // all of them up front (the root is a sender from round one).
-            for c in 0..problem.num_clusters() {
-                self.sender_offset[c] =
-                    policy.sender_score_offset(problem, ClusterId(c), self.min_out[c]);
+            for c in 0..n {
+                sender_offset[c] = policy.sender_score_offset(problem, ClusterId(c), min_out[c]);
             }
         }
     }
 
-    fn select<P: SelectionPolicy + ?Sized>(
-        &mut self,
-        problem: &BroadcastProblem,
-        policy: &mut P,
-    ) -> (ClusterId, ClusterId) {
-        let ((_, r, s), _) = self.select_full::<P, false>(problem, policy);
-        (ClusterId(s as usize), ClusterId(r as usize))
-    }
-
     /// The selection scan, optionally tracking the round's runner-up tuple
-    /// for commit logging. `TRACK` is a const generic so the ordinary
-    /// [`EngineState::select`] path compiles to the exact scan it always was
-    /// — the second-best bookkeeping exists only in the logged
-    /// monomorphization.
+    /// for commit logging. `TRACK` is a const generic so the unlogged round
+    /// loop compiles to the exact scan it always was — the second-best
+    /// bookkeeping exists only in the logged monomorphization.
     fn select_full<P: SelectionPolicy + ?Sized, const TRACK: bool>(
         &mut self,
         problem: &BroadcastProblem,
@@ -1483,32 +1526,36 @@ impl EngineState {
     }
 
     /// Rebuilds the candidate rows (and floors) of every receiver in
-    /// `pending` with one pruned walk over A in ready order (the sorted
-    /// `order` array — contiguous and always valid, so each walk is a plain
-    /// scan) **per receiver**. Each receiver gets its exact top `K_BEST + 1`
-    /// entries (the last one becomes the floor); the walk stops once the next
-    /// ready time exceeds the receiver's `(K_BEST + 1)`-smallest score found
-    /// so far — any unwalked sender scores at least its ready time, so it
-    /// cannot enter the row or lower the floor.
+    /// `pending` with one walk over A in ready order (the sorted `order`
+    /// array — contiguous and always valid, so each walk is a plain scan)
+    /// **per receiver**. Each receiver gets its exact top `K_BEST + 1`
+    /// entries (the last one becomes the floor), then its row, floor and
+    /// gate are written back.
     ///
-    /// One walk per receiver, not one shared walk: a commit rarely strands
-    /// more than a couple of receivers, and the per-receiver loop keeps the
-    /// retirement bound in two registers (the static offsets hoisted out of
-    /// the loop), the top buffer in L1 and the scores streaming from the
-    /// receiver's contiguous `rx` row — an order of magnitude less per-visit
-    /// overhead than the shared walk's pending-indexed inner loop.
+    /// A commit rarely strands more than a couple of receivers, and the
+    /// per-receiver loop keeps the retirement bound in two registers (the
+    /// static offsets hoisted out of the loop), the top buffer in L1 and the
+    /// scores streaming from the receiver's contiguous `rx` row.
     ///
-    /// The walk itself is **bucketed**: `order` is viewed as
+    /// With `PRUNE` the walk stops once the next ready time plus the
+    /// receiver's static offsets exceeds its provisional floor — any
+    /// unwalked sender scores at least that, so it cannot enter the row or
+    /// lower the floor — and it is **bucketed**: `order` is viewed as
     /// [`WALK_BUCKET`]-sized slices, each carrying a lazily-maintained
     /// minimum of `fl(ready + r_s)` (the per-sender bound of
     /// [`SelectionPolicy::sender_score_offset`]). A full row compares that
     /// minimum against its provisional floor and retires whole buckets —
     /// typically the long already-busy prefix of A — without re-walking
-    /// their senders, which is what breaks the `O(|A|)` re-walk per rescan
-    /// at the tail sizes. Skips use a strict `>` on bounds that hold under
+    /// their senders. Skips use a strict `>` on bounds that hold under
     /// rounded arithmetic, so the produced rows are bit-identical to the
-    /// plain walk's.
-    fn rescan_pending<P: SelectionPolicy + ?Sized>(
+    /// unpruned walk's.
+    ///
+    /// Those bounds only hold for sender-time-sensitive policies, which are
+    /// the only ones that reach the commit path's rescans. The warm-start
+    /// and crash-recovery rebuild ([`EngineState::repair_and_finish`]) runs
+    /// for every policy, so it walks without `PRUNE` and scores all of A;
+    /// it runs once per reschedule, so the missing pruning costs little.
+    fn rescan_pending<P: SelectionPolicy + ?Sized, const PRUNE: bool>(
         &mut self,
         problem: &BroadcastProblem,
         policy: &P,
@@ -1574,10 +1621,10 @@ impl EngineState {
                 // and it runs *before* any dirty-minimum recompute so
                 // unreachable buckets never pay one.
                 let t0 = ready[order[lo] as usize];
-                if filled == stride && t0 + off1 + off2 > row[k].0 {
+                if PRUNE && filled == stride && t0 + off1 + off2 > row[k].0 {
                     break;
                 }
-                if bucket_dirty[b] {
+                if PRUNE && bucket_dirty[b] {
                     let mut m = Time::INFINITY;
                     for &s in &order[lo..hi] {
                         let v = ready[s as usize] + sender_offset[s as usize];
@@ -1596,7 +1643,7 @@ impl EngineState {
                 // one comparison. The sums must be computed exactly as
                 // written; ties (`==`) are never skipped, preserving the lex
                 // `(score, sender)` order bit for bit.
-                if filled == stride && bucket_min[b] + off2 > row[k].0 {
+                if PRUNE && filled == stride && bucket_min[b] + off2 > row[k].0 {
                     tally(&mut telemetry.bucket_skips, 1);
                     lo = hi;
                     continue;
@@ -1609,7 +1656,7 @@ impl EngineState {
                     // computed exactly as written, left to right — a
                     // rearranged `t > floor - c_j` is not float-equivalent
                     // and could cut the walk one sender too early.
-                    if filled == stride && t + off1 + off2 > row[k].0 {
+                    if PRUNE && filled == stride && t + off1 + off2 > row[k].0 {
                         break 'walk;
                     }
                     tally(&mut telemetry.walked_senders, 1);
@@ -1748,96 +1795,20 @@ impl EngineState {
         };
     }
 
-    /// Offers the freshly-joined sender `new_sender` to `receiver` in
-    /// `O(K_BEST)`: it is inserted into the candidate row at its lex position
-    /// (the overflowing last entry, a valid lower bound for its sender, is
-    /// folded into the floor) or, failing that, tightens the floor directly.
+    /// Offers the freshly-joined sender `new_sender` to every receiver of
+    /// the contiguous run `receivers[from..to]` in `O(K_BEST)` each: it is
+    /// inserted into the receiver's candidate row at its lex position (the
+    /// overflowing last entry, a valid lower bound for its sender, is folded
+    /// into the floor) or, failing that, tightens the floor directly.
     ///
     /// Fast path: a score strictly above `gate[j]` beats neither the row tail
     /// nor the floor (both comparisons are lex on `(score, sender)`, so a
-    /// strictly larger score loses regardless of the sender id) and returns
-    /// after one dense load.
-    fn offer<P: SelectionPolicy + ?Sized>(
-        &mut self,
-        problem: &BroadcastProblem,
-        policy: &P,
-        receiver: u32,
-        new_sender: u32,
-    ) {
-        let j = receiver as usize;
-        // Sender-major view: the commit loop offers the same fresh sender to
-        // every receiver, streaming that sender's contiguous `tx` row.
-        let view = EngineView {
-            problem,
-            in_a: &self.in_a,
-            ready: &self.ready,
-            mat: &self.tx,
-            receiver_major: false,
-            receivers: &self.receivers,
-            n: problem.num_clusters(),
-        };
-        let score = policy.edge_score(&view, ClusterId(new_sender as usize), ClusterId(j));
-        debug_assert_score_not_nan(score);
-        if score > self.gate[j] {
-            return;
-        }
-        let entry = (score, new_sender);
-        let k = self.k_run;
-        let len = self.cand_len[j] as usize;
-        let row = &mut self.cand_score[j * k..(j + 1) * k];
-        let senders = &mut self.cand_sender[j * k..(j + 1) * k];
-        if len < k {
-            // Room in the row: plain sorted insert.
-            let mut slot = len;
-            while slot > 0 && (row[slot - 1], senders[slot - 1]) > entry {
-                row[slot] = row[slot - 1];
-                senders[slot] = senders[slot - 1];
-                slot -= 1;
-            }
-            row[slot] = entry.0;
-            senders[slot] = entry.1;
-            self.cand_len[j] = (len + 1) as u32;
-            if slot == 0 {
-                self.best_score[j] = entry.0;
-                self.best_sender[j] = entry.1;
-            }
-        } else if entry < (row[k - 1], senders[k - 1]) {
-            // Displace the last entry; its cached score is a valid lower bound
-            // for its sender, so folding it into the floor keeps invariant 3.
-            let dropped = (row[k - 1], senders[k - 1]);
-            let mut slot = k - 1;
-            while slot > 0 && (row[slot - 1], senders[slot - 1]) > entry {
-                row[slot] = row[slot - 1];
-                senders[slot] = senders[slot - 1];
-                slot -= 1;
-            }
-            row[slot] = entry.0;
-            senders[slot] = entry.1;
-            if slot == 0 {
-                self.best_score[j] = entry.0;
-                self.best_sender[j] = entry.1;
-            }
-            if dropped < (self.floor_score[j], self.floor_sender[j]) {
-                self.floor_score[j] = dropped.0;
-                self.floor_sender[j] = dropped.1;
-            }
-        } else if entry < (self.floor_score[j], self.floor_sender[j]) {
-            // Outside the row: the floor must keep bounding it.
-            self.floor_score[j] = entry.0;
-            self.floor_sender[j] = entry.1;
-        }
-        self.refresh_gate(j);
-    }
-
-    /// Offers the freshly-joined sender to the contiguous run
-    /// `receivers[from..to]` — the stretches between invalidated receivers in
-    /// the commit loop. Semantically identical to calling
-    /// [`EngineState::offer`] once per receiver (same order, same arithmetic,
-    /// byte-identical rows); fusing the run hoists the view construction and
-    /// the borrow plumbing out of the per-receiver work, so the dominant fast
-    /// path (score strictly above the gate) compiles to one dense row read
-    /// and a compare. With ~`|B|` offers per commit this loop is the engine's
-    /// single hottest stretch at the large sizes.
+    /// strictly larger score loses regardless of the sender id) and costs one
+    /// dense load. Runs are the stretches between invalidated receivers in
+    /// the commit loop; fusing them hoists the view construction and the
+    /// borrow plumbing out of the per-receiver work. With ~`|B|` offers per
+    /// commit this loop is the engine's single hottest stretch at the large
+    /// sizes.
     fn offer_run<P: SelectionPolicy + ?Sized>(
         &mut self,
         problem: &BroadcastProblem,
@@ -1862,8 +1833,8 @@ impl EngineState {
             gate,
             ..
         } = self;
-        // Sender-major view, exactly like `offer`'s: the run streams one
-        // fresh sender's `tx` row across many receivers.
+        // Sender-major view: the run streams one fresh sender's `tx` row
+        // across many receivers.
         let view = EngineView {
             problem,
             in_a,
@@ -1987,6 +1958,9 @@ impl EngineState {
         }
     }
 
+    /// Commits the selected round: the bookkeeping of
+    /// [`EngineState::replay_commit`], then the ready-order upkeep, the
+    /// policy's commit hook and the incremental cache maintenance.
     fn commit<P: SelectionPolicy + ?Sized>(
         &mut self,
         problem: &BroadcastProblem,
@@ -1996,30 +1970,7 @@ impl EngineState {
     ) {
         let (s, r) = (sender.index(), receiver.index());
         debug_assert!(self.in_a[s] && !self.in_a[r]);
-        tally(&mut self.telemetry.rounds, 1);
-        let n = problem.num_clusters();
-        let start = self.ready[s];
-        // Committed timings read the flat `tx`/`gp` copies, not the problem
-        // matrices: on the uniform path they hold the exact same floats, and
-        // on the costed path they carry the per-edge payload prices.
-        let arrival = start + self.tx[s * n + r];
-        self.events.push(ScheduleEvent {
-            sender,
-            receiver,
-            start,
-            arrival,
-        });
-        self.ready[s] = start + self.gap_of(problem, s, r);
-        self.ready[r] = arrival;
-        self.in_a[r] = true;
-        // Remove the receiver from B (swap-remove keeps the list compact).
-        let pos = self.recv_pos[r] as usize;
-        let last = *self.receivers.last().expect("receiver is in B");
-        self.receivers.swap_remove(pos);
-        if pos < self.receivers.len() {
-            self.recv_pos[last as usize] = pos as u32;
-        }
-        self.recv_pos[r] = u32::MAX;
+        self.replay_commit(problem, s, r);
         // Keep the ready-order array sorted: the sender's ready time grew (it
         // bubbles right), the receiver enters A at its sorted position.
         self.reposition_sender(s);
@@ -2046,16 +1997,14 @@ impl EngineState {
 
         // Incremental cache maintenance. Receivers that relied on the committed
         // sender are repaired against their cached runners-up; the few that
-        // cannot be repaired are collected and rebuilt by one shared walk in
-        // ready order (which already sees the freshly-joined sender).
-        // Everyone else is offered the new sender in O(K_BEST).
+        // cannot be repaired are collected and rebuilt by the pruned rescan
+        // walk (which already sees the freshly-joined sender). Everyone
+        // else is offered the new sender in O(K_BEST).
         let sensitive = policy.sender_time_sensitive();
         debug_assert!(self.pending.is_empty());
-        // Same per-receiver order and arithmetic as one `offer` call each;
-        // the stretches between invalidated receivers go through the fused
-        // `offer_run` (an offer only mutates its own receiver's state, so
-        // scanning a run's invalidation checks up front observes the same
-        // `best_sender` values the one-at-a-time loop would).
+        // An offer only mutates its own receiver's state, so scanning a
+        // run's invalidation checks up front observes the same `best_sender`
+        // values a one-receiver-at-a-time loop would.
         let mut i = 0;
         let b_len = self.receivers.len();
         while i < b_len {
@@ -2063,7 +2012,7 @@ impl EngineState {
             if sensitive && self.best_sender[j as usize] == s as u32 {
                 tally(&mut self.telemetry.invalidations, 1);
                 if self.repair_invalidated(problem, policy, j, s as u32) {
-                    self.offer(problem, policy, j, r as u32);
+                    self.offer_run(problem, policy, i, i + 1, r as u32);
                 } else {
                     self.pending.push(j);
                 }
@@ -2079,7 +2028,7 @@ impl EngineState {
             }
         }
         if !self.pending.is_empty() {
-            self.rescan_pending(problem, policy);
+            self.rescan_pending::<P, true>(problem, policy);
         }
     }
 
@@ -2188,109 +2137,6 @@ impl EngineState {
         self.fill_matrices(n, true, |s, r| (costs.gap(s, r), costs.latency(s, r)));
     }
 
-    /// Rebuilds the candidate rows (and floors) of every receiver in
-    /// `pending` with one **unpruned** walk over A per receiver — the
-    /// warm-start sibling of [`EngineState::rescan_pending`]. The pruned
-    /// walk's retirement bound (`ready + offset` is a lower bound on the
-    /// score) only holds for sender-time-sensitive policies; Flat Tree and
-    /// FEF score on matrix entries alone, so a warm-start rebuild — which,
-    /// unlike the commit path, runs for *every* policy — must visit all of A.
-    /// It runs once per reschedule, not once per commit, so the missing
-    /// pruning is irrelevant; the produced rows, floors and gates are
-    /// bit-identical to what the pruned walk yields where both are sound
-    /// (both compute the exact lexicographic top `K_BEST + 1`).
-    fn rebuild_pending_unpruned<P: SelectionPolicy + ?Sized>(
-        &mut self,
-        problem: &BroadcastProblem,
-        policy: &P,
-    ) {
-        let k = self.k_run;
-        let stride = k + 1;
-        let EngineState {
-            in_a,
-            ready,
-            order,
-            cand_score,
-            cand_sender,
-            cand_len,
-            best_score,
-            best_sender,
-            floor_score,
-            floor_sender,
-            gate,
-            pending,
-            tops,
-            rx,
-            receivers,
-            telemetry,
-            ..
-        } = self;
-        let view = EngineView {
-            problem,
-            in_a,
-            ready,
-            mat: rx,
-            receiver_major: true,
-            receivers,
-            n: problem.num_clusters(),
-        };
-        tops.clear();
-        tops.resize(stride, (Time::INFINITY, NO_SENDER));
-        for &jr in pending.iter() {
-            tally(&mut telemetry.rescans, 1);
-            let j = jr as usize;
-            let row = &mut tops[..stride];
-            let mut filled = 0usize;
-            for &s in order.iter() {
-                tally(&mut telemetry.walked_senders, 1);
-                let score = policy.edge_score(&view, ClusterId(s as usize), ClusterId(j));
-                debug_assert_score_not_nan(score);
-                let entry = (score, s);
-                if filled < stride {
-                    let mut slot = filled;
-                    while slot > 0 && row[slot - 1] > entry {
-                        row[slot] = row[slot - 1];
-                        slot -= 1;
-                    }
-                    row[slot] = entry;
-                    filled += 1;
-                } else if entry < row[k] {
-                    let mut slot = k;
-                    while slot > 0 && row[slot - 1] > entry {
-                        row[slot] = row[slot - 1];
-                        slot -= 1;
-                    }
-                    row[slot] = entry;
-                }
-            }
-            debug_assert!(filled > 0, "set A is never empty");
-            let keep = filled.min(k);
-            for (slot, &(score, s)) in row[..keep].iter().enumerate() {
-                cand_score[j * k + slot] = score;
-                cand_sender[j * k + slot] = s;
-            }
-            cand_len[j] = keep as u32;
-            best_score[j] = cand_score[j * k];
-            best_sender[j] = cand_sender[j * k];
-            if filled == stride {
-                floor_score[j] = row[k].0;
-                floor_sender[j] = row[k].1;
-            } else {
-                floor_score[j] = Time::INFINITY;
-                floor_sender[j] = NO_SENDER;
-            }
-            gate[j] = if keep == k {
-                cand_score[j * k + k - 1].max(floor_score[j])
-            } else {
-                Time::INFINITY
-            };
-            for slot in row.iter_mut().take(filled) {
-                *slot = (Time::INFINITY, NO_SENDER);
-            }
-        }
-        pending.clear();
-    }
-
     /// The warm-start crash-recovery loop behind
     /// [`ScheduleEngine::reschedule_excluding`]: replay a committed event
     /// prefix verbatim, excise the `failed` cluster from both sets, clamp
@@ -2311,26 +2157,17 @@ impl EngineState {
         // Replay the committed prefix verbatim, with no policy involvement:
         // these transfers already happened on the wire, including any that
         // delivered *to* the failed cluster (they occupied real interface
-        // time), so the bookkeeping mirrors `commit` exactly — events,
-        // ready times, A/B membership — minus selection and cache upkeep.
+        // time), so each event is applied exactly as logged.
         for event in committed {
-            let (s, r) = (event.sender.index(), event.receiver.index());
             assert!(
-                self.in_a[s],
+                self.in_a[event.sender.index()],
                 "committed event sender must already hold the message"
             );
-            assert!(!self.in_a[r], "a cluster receives the message at most once");
-            self.events.push(*event);
-            self.ready[s] = event.start + self.gap_of(problem, s, r);
-            self.ready[r] = event.arrival;
-            self.in_a[r] = true;
-            let pos = self.recv_pos[r] as usize;
-            let last = *self.receivers.last().expect("receiver is in B");
-            self.receivers.swap_remove(pos);
-            if pos < self.receivers.len() {
-                self.recv_pos[last as usize] = pos as u32;
-            }
-            self.recv_pos[r] = u32::MAX;
+            assert!(
+                !self.in_a[event.receiver.index()],
+                "a cluster receives the message at most once"
+            );
+            self.apply_event(problem, *event);
         }
         // Excise the failed cluster. If it never received the message it is
         // still in B: remove it so no round ever schedules a delivery to it.
@@ -2338,13 +2175,7 @@ impl EngineState {
         // awaiting coverage — but it is kept out of the sender order below,
         // so it can never be picked to transmit.
         if !self.in_a[f] {
-            let pos = self.recv_pos[f] as usize;
-            let last = *self.receivers.last().expect("failed cluster is in B");
-            self.receivers.swap_remove(pos);
-            if pos < self.receivers.len() {
-                self.recv_pos[last as usize] = pos as u32;
-            }
-            self.recv_pos[f] = u32::MAX;
+            self.remove_from_b(f);
             self.in_a[f] = true;
         }
         // No repair transmission starts before the recovery instant (the
@@ -2367,9 +2198,9 @@ impl EngineState {
     /// out of the sender order (crash path); `None` on the what-if path.
     ///
     /// The rebuilt state is *bit-identical* to the cold run's: the candidate
-    /// rows come from [`EngineState::rebuild_pending_unpruned`] (the exact
-    /// unpruned top-`K+1`), the policy re-derives its caches from the same
-    /// view a cold run would see, and the static score offsets use the same
+    /// rows come from the unpruned [`EngineState::rescan_pending`] (the exact
+    /// top-`K+1`), the policy re-derives its caches from the same view a
+    /// cold run would see, and the static score offsets use the same
     /// rounded expressions — which is what makes the warm-start invariant
     /// (warm output ≡ cold output, bit for bit) hold through a divergence.
     fn repair_and_finish<P: SelectionPolicy + ?Sized>(
@@ -2403,178 +2234,120 @@ impl EngineState {
         // Policy reset runs *after* the replay so per-problem caches (the
         // ECEF bias/watch arrays are built over `view.receivers()`) see the
         // surviving B, exactly as a cold run on the reduced problem would.
-        {
-            let EngineState {
-                in_a,
-                ready,
-                tx,
-                lookahead,
-                receivers,
-                ..
-            } = &mut *self;
-            let view = EngineView {
-                problem,
-                in_a,
-                ready,
-                mat: tx,
-                receiver_major: false,
-                receivers,
-                n,
-            };
-            policy.reset(&view, lookahead);
-        }
-        // Static score offsets, as in `init_caches`. On the crash path
-        // `min_in` still includes the failed cluster's outgoing edges, so the
-        // offsets can only be smaller than the reduced problem's — a looser
-        // but still valid lower bound, affecting pruning effort, never
-        // results.
-        self.score_offset.clear();
-        self.score_offset.resize(n, Time::ZERO);
-        self.score_post.clear();
-        self.score_post.resize(n, Time::ZERO);
-        self.sender_offset.clear();
-        self.sender_offset.resize(n, Time::ZERO);
-        if policy.sender_time_sensitive() {
-            for i in 0..self.receivers.len() {
-                let r = self.receivers[i] as usize;
-                self.score_offset[r] =
-                    policy.edge_score_offset(problem, ClusterId(r), self.min_in[r]);
-                self.score_post[r] = policy.edge_score_post_offset(problem, ClusterId(r));
-            }
-            // As with `min_in`, a crash path's `min_out` still includes edges
-            // to the failed cluster — a looser but valid sender bound.
-            for c in 0..n {
-                self.sender_offset[c] =
-                    policy.sender_score_offset(problem, ClusterId(c), self.min_out[c]);
-            }
-        }
+        self.reset_policy(problem, policy);
+        // On the crash path `min_in` and `min_out` still include the failed
+        // cluster's edges, so the offsets can only be smaller than the
+        // reduced problem's — looser but still valid lower bounds, affecting
+        // pruning effort, never results.
+        self.fill_static_offsets(problem, policy);
         // Seed every remaining receiver's candidate row from the multi-sender
         // A set (a cold run seeds from the singleton {root}; here A already
         // holds every cluster the committed prefix reached).
         self.pending.clear();
-        for i in 0..self.receivers.len() {
-            let r = self.receivers[i];
-            self.pending.push(r);
-        }
-        self.rebuild_pending_unpruned(problem, policy);
-        // Ordinary rounds until the remaining receivers are all covered.
-        while !self.receivers.is_empty() {
-            let (sender, receiver) = self.select(problem, policy);
-            tally(&mut self.telemetry.recomputed_commits, 1);
-            self.commit(problem, policy, sender, receiver);
-        }
+        self.pending.extend_from_slice(&self.receivers);
+        self.rescan_pending::<P, false>(problem, policy);
+        let replayed = self.events.len();
+        self.rounds::<P, false>(problem, policy);
+        tally(
+            &mut self.telemetry.recomputed_commits,
+            (self.events.len() - replayed) as u64,
+        );
     }
 
-    fn run<P: SelectionPolicy + ?Sized>(&mut self, problem: &BroadcastProblem, policy: &mut P) {
-        self.reset(problem, policy.row_decay());
-        {
-            // Sender-major view for the policy's per-problem rebuild: the
-            // lookahead rows read `transfer(j, k)` for consecutive `k`, which
-            // is exactly a `tx` row.
-            let EngineState {
-                in_a,
-                ready,
-                tx,
-                lookahead,
-                receivers,
-                ..
-            } = &mut *self;
-            let view = EngineView {
-                problem,
-                in_a,
-                ready,
-                mat: tx,
-                receiver_major: false,
-                receivers,
-                n: problem.num_clusters(),
-            };
-            policy.reset(&view, lookahead);
-        }
-        self.init_caches(problem, policy);
-        let n = problem.num_clusters();
-        while self.events.len() + 1 < n {
-            let (sender, receiver) = self.select(problem, policy);
-            self.commit(problem, policy, sender, receiver);
-        }
-    }
-
-    /// [`EngineState::run`] with commit logging: identical rounds (the
-    /// selection scan is the same monomorphization with runner-up tracking
-    /// switched on), recording one [`LoggedCommit`] per round into `commits`.
-    fn run_logged<P: SelectionPolicy + ?Sized>(
+    /// A cold run: reset the sets, the policy and the caches, then play the
+    /// rounds until B is empty (recording them into `log` with `LOG`).
+    fn run<P: SelectionPolicy + ?Sized, const LOG: bool>(
         &mut self,
         problem: &BroadcastProblem,
         policy: &mut P,
-        commits: &mut Vec<LoggedCommit>,
     ) {
-        commits.clear();
         self.reset(problem, policy.row_decay());
-        {
-            let EngineState {
-                in_a,
-                ready,
-                tx,
-                lookahead,
-                receivers,
-                ..
-            } = &mut *self;
-            let view = EngineView {
-                problem,
-                in_a,
-                ready,
-                mat: tx,
-                receiver_major: false,
-                receivers,
-                n: problem.num_clusters(),
-            };
-            policy.reset(&view, lookahead);
-        }
+        self.reset_policy(problem, policy);
         self.init_caches(problem, policy);
-        let n = problem.num_clusters();
-        commits.reserve(n.saturating_sub(1));
-        while self.events.len() + 1 < n {
-            let (winner, runner_up) = self.select_full::<P, true>(problem, policy);
+        self.rounds::<P, LOG>(problem, policy);
+    }
+
+    /// The select/commit round loop, run until B is empty. With `LOG` the
+    /// selection scan also tracks each round's runner-up and every round is
+    /// recorded as one [`LoggedCommit`] into `log` (cleared first); without
+    /// it the loop compiles to the plain rounds.
+    fn rounds<P: SelectionPolicy + ?Sized, const LOG: bool>(
+        &mut self,
+        problem: &BroadcastProblem,
+        policy: &mut P,
+    ) {
+        if LOG {
+            self.log.clear();
+            self.log.reserve(self.receivers.len());
+        }
+        while !self.receivers.is_empty() {
+            let (winner, runner_up) = self.select_full::<P, LOG>(problem, policy);
             let (sender, receiver) = (ClusterId(winner.2 as usize), ClusterId(winner.1 as usize));
             self.commit(problem, policy, sender, receiver);
-            let event = *self.events.last().expect("commit pushed an event");
-            commits.push(LoggedCommit {
-                sender: winner.2,
-                receiver: winner.1,
-                start: event.start,
-                arrival: event.arrival,
-                winner,
-                runner_up: runner_up.unwrap_or((Time::INFINITY, u32::MAX, u32::MAX)),
-            });
+            if LOG {
+                let event = *self.events.last().expect("commit pushed an event");
+                self.log.push(LoggedCommit {
+                    sender: winner.2,
+                    receiver: winner.1,
+                    start: event.start,
+                    arrival: event.arrival,
+                    winner,
+                    runner_up: runner_up.unwrap_or((Time::INFINITY, u32::MAX, u32::MAX)),
+                });
+            }
         }
     }
 
-    /// Replays one logged commit's bookkeeping: event times recomputed from
-    /// the *current* (possibly perturbed) matrices, A/B membership and the
-    /// swap-remove layout mirrored bit for bit so a divergence hands
-    /// [`EngineState::repair_and_finish`] exactly the state a cold run would
-    /// hold. No selection, no cache upkeep — the caller already decided this
-    /// commit stands.
+    /// Replays one commit's bookkeeping: event times recomputed from the
+    /// *current* (possibly perturbed) matrices, then applied by
+    /// [`EngineState::apply_event`]. No selection, no cache upkeep — the
+    /// caller already decided this commit stands ([`EngineState::commit`]
+    /// adds the upkeep).
     fn replay_commit(&mut self, problem: &BroadcastProblem, s: usize, r: usize) {
         let n = problem.num_clusters();
         tally(&mut self.telemetry.rounds, 1);
         let start = self.ready[s];
+        // Committed timings read the flat `tx`/`gp` copies, not the problem
+        // matrices: on the uniform path they hold the exact same floats, and
+        // on the costed path they carry the per-edge payload prices.
         let arrival = start + self.tx[s * n + r];
-        self.events.push(ScheduleEvent {
-            sender: ClusterId(s),
-            receiver: ClusterId(r),
-            start,
-            arrival,
-        });
-        self.ready[s] = start + self.gap_of(problem, s, r);
-        self.ready[r] = arrival;
+        self.apply_event(
+            problem,
+            ScheduleEvent {
+                sender: ClusterId(s),
+                receiver: ClusterId(r),
+                start,
+                arrival,
+            },
+        );
+    }
+
+    /// Applies one committed event to the sets: records it, occupies the
+    /// sender's interface for the edge's gap, sets the receiver's ready time
+    /// to the arrival and moves the receiver from B to A. The swap-remove
+    /// layout of B is mirrored bit for bit, so a replayed prefix hands
+    /// [`EngineState::repair_and_finish`] exactly the state a cold run
+    /// would hold.
+    #[inline]
+    fn apply_event(&mut self, problem: &BroadcastProblem, event: ScheduleEvent) {
+        let (s, r) = (event.sender.index(), event.receiver.index());
+        self.events.push(event);
+        self.ready[s] = event.start + self.gap_of(problem, s, r);
+        self.ready[r] = event.arrival;
         self.in_a[r] = true;
-        let pos = self.recv_pos[r] as usize;
-        let last = *self.receivers.last().expect("receiver is in B");
+        self.remove_from_b(r);
+    }
+
+    /// Removes cluster `c` from B (swap-remove keeps the list compact).
+    #[inline]
+    fn remove_from_b(&mut self, c: usize) {
+        let pos = self.recv_pos[c] as usize;
+        let last = *self.receivers.last().expect("cluster is in B");
         self.receivers.swap_remove(pos);
         if pos < self.receivers.len() {
             self.recv_pos[last as usize] = pos as u32;
         }
-        self.recv_pos[r] = u32::MAX;
+        self.recv_pos[c] = u32::MAX;
     }
 
     /// Re-scores one receiver's selection tuple from scratch against the
@@ -2665,7 +2438,7 @@ impl EngineState {
         if !log.compatible_with(problem) || delta.num_clusters() != n {
             // Moved root, altered payload, resized grid or a foreign delta:
             // nothing in the log is replayable — run cold.
-            self.run(problem, policy);
+            self.run::<P, false>(problem, policy);
             let events = self.events.len();
             tally(&mut self.telemetry.recomputed_commits, events as u64);
             return;
@@ -2800,6 +2573,18 @@ impl EngineState {
         }
     }
 
+    /// Moves the commits of the logged run that just scheduled `problem`
+    /// with `kind` out into a [`CommitLog`].
+    fn take_log(&mut self, problem: &BroadcastProblem, kind: HeuristicKind) -> CommitLog {
+        CommitLog {
+            root: problem.root,
+            message: problem.message,
+            n: problem.num_clusters(),
+            kind,
+            commits: std::mem::take(&mut self.log),
+        }
+    }
+
     /// Folds the events currently in the buffer into the reusable
     /// `arrival`/`busy` buffers using the engine's flat `gp` matrix: per
     /// cluster, when its payload arrived and until when its interface is
@@ -2884,100 +2669,44 @@ impl Default for BuiltinPolicies {
     }
 }
 
-impl BuiltinPolicies {
-    /// Runs `state` on `problem` with the concrete policy for `kind` —
-    /// the single point where the kind-to-policy dispatch happens.
-    fn run(&mut self, state: &mut EngineState, problem: &BroadcastProblem, kind: HeuristicKind) {
-        match kind {
-            HeuristicKind::FlatTree => state.run(problem, &mut self.flat_tree),
-            HeuristicKind::Fef => state.run(problem, &mut self.fef),
-            HeuristicKind::Ecef => state.run(problem, &mut self.ecef),
-            HeuristicKind::EcefLa => state.run(problem, &mut self.ecef_la),
-            HeuristicKind::EcefLaMin => state.run(problem, &mut self.ecef_la_min),
-            HeuristicKind::EcefLaMax => state.run(problem, &mut self.ecef_la_max),
-            HeuristicKind::BottomUp => state.run(problem, &mut self.bottom_up),
-        }
-    }
-
-    /// The crash-recovery twin of [`BuiltinPolicies::run`]: dispatches `kind`
-    /// to its concrete policy and hands it to
-    /// [`EngineState::run_excluding`].
-    fn run_excluding(
-        &mut self,
-        state: &mut EngineState,
-        problem: &BroadcastProblem,
-        kind: HeuristicKind,
-        failed: ClusterId,
-        committed: &[ScheduleEvent],
-        resume_at: Time,
-    ) {
-        match kind {
+/// Binds `$p` to the concrete built-in policy for `$kind` in `$policies`
+/// (a `&mut BuiltinPolicies`) and evaluates `$body` with it — the single
+/// kind-to-policy dispatch point. Each arm monomorphizes `$body` for its
+/// concrete type, so no `dyn SelectionPolicy` enters the built-in path.
+macro_rules! with_builtin {
+    ($policies:expr, $kind:expr, |$p:ident| $body:expr) => {{
+        let policies: &mut BuiltinPolicies = $policies;
+        match $kind {
             HeuristicKind::FlatTree => {
-                state.run_excluding(problem, &mut self.flat_tree, failed, committed, resume_at)
+                let $p = &mut policies.flat_tree;
+                $body
             }
             HeuristicKind::Fef => {
-                state.run_excluding(problem, &mut self.fef, failed, committed, resume_at)
+                let $p = &mut policies.fef;
+                $body
             }
             HeuristicKind::Ecef => {
-                state.run_excluding(problem, &mut self.ecef, failed, committed, resume_at)
+                let $p = &mut policies.ecef;
+                $body
             }
             HeuristicKind::EcefLa => {
-                state.run_excluding(problem, &mut self.ecef_la, failed, committed, resume_at)
+                let $p = &mut policies.ecef_la;
+                $body
             }
             HeuristicKind::EcefLaMin => {
-                state.run_excluding(problem, &mut self.ecef_la_min, failed, committed, resume_at)
+                let $p = &mut policies.ecef_la_min;
+                $body
             }
             HeuristicKind::EcefLaMax => {
-                state.run_excluding(problem, &mut self.ecef_la_max, failed, committed, resume_at)
+                let $p = &mut policies.ecef_la_max;
+                $body
             }
             HeuristicKind::BottomUp => {
-                state.run_excluding(problem, &mut self.bottom_up, failed, committed, resume_at)
+                let $p = &mut policies.bottom_up;
+                $body
             }
         }
-    }
-
-    /// The commit-logging twin of [`BuiltinPolicies::run`].
-    fn run_logged(
-        &mut self,
-        state: &mut EngineState,
-        problem: &BroadcastProblem,
-        kind: HeuristicKind,
-        commits: &mut Vec<LoggedCommit>,
-    ) {
-        match kind {
-            HeuristicKind::FlatTree => state.run_logged(problem, &mut self.flat_tree, commits),
-            HeuristicKind::Fef => state.run_logged(problem, &mut self.fef, commits),
-            HeuristicKind::Ecef => state.run_logged(problem, &mut self.ecef, commits),
-            HeuristicKind::EcefLa => state.run_logged(problem, &mut self.ecef_la, commits),
-            HeuristicKind::EcefLaMin => state.run_logged(problem, &mut self.ecef_la_min, commits),
-            HeuristicKind::EcefLaMax => state.run_logged(problem, &mut self.ecef_la_max, commits),
-            HeuristicKind::BottomUp => state.run_logged(problem, &mut self.bottom_up, commits),
-        }
-    }
-
-    /// The warm-start twin of [`BuiltinPolicies::run`]: dispatches on the
-    /// **log's** heuristic kind.
-    fn run_replay(
-        &mut self,
-        state: &mut EngineState,
-        problem: &BroadcastProblem,
-        log: &CommitLog,
-        delta: &ReplayDelta,
-    ) {
-        match log.kind {
-            HeuristicKind::FlatTree => state.run_replay(problem, &mut self.flat_tree, log, delta),
-            HeuristicKind::Fef => state.run_replay(problem, &mut self.fef, log, delta),
-            HeuristicKind::Ecef => state.run_replay(problem, &mut self.ecef, log, delta),
-            HeuristicKind::EcefLa => state.run_replay(problem, &mut self.ecef_la, log, delta),
-            HeuristicKind::EcefLaMin => {
-                state.run_replay(problem, &mut self.ecef_la_min, log, delta)
-            }
-            HeuristicKind::EcefLaMax => {
-                state.run_replay(problem, &mut self.ecef_la_max, log, delta)
-            }
-            HeuristicKind::BottomUp => state.run_replay(problem, &mut self.bottom_up, log, delta),
-        }
-    }
+    }};
 }
 
 /// The reusable, pattern-agnostic scheduling engine.
@@ -3040,7 +2769,7 @@ impl ScheduleEngine {
     /// transfer matrix once and schedule every heuristic against it).
     fn schedule_prepared(&mut self, problem: &BroadcastProblem, kind: HeuristicKind) -> Schedule {
         let ScheduleEngine { state, policies } = self;
-        policies.run(state, problem, kind);
+        with_builtin!(policies, kind, |p| state.run::<_, false>(problem, p));
         state.schedule_of_events(problem, kind.name())
     }
 
@@ -3104,7 +2833,9 @@ impl ScheduleEngine {
         assert!(resume_at.is_finite(), "resume_at must be finite");
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
-        policies.run_excluding(state, problem, kind, failed, committed, resume_at);
+        with_builtin!(policies, kind, |p| {
+            state.run_excluding(problem, p, failed, committed, resume_at)
+        });
         state.schedule_of_events(problem, kind.name())
     }
 
@@ -3119,17 +2850,9 @@ impl ScheduleEngine {
     ) -> (Schedule, CommitLog) {
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
-        let mut commits = Vec::new();
-        policies.run_logged(state, problem, kind, &mut commits);
+        with_builtin!(policies, kind, |p| state.run::<_, true>(problem, p));
         let schedule = state.schedule_of_events(problem, kind.name());
-        let log = CommitLog {
-            root: problem.root,
-            message: problem.message,
-            n: problem.num_clusters(),
-            kind,
-            commits,
-        };
-        (schedule, log)
+        (schedule, state.take_log(problem, kind))
     }
 
     /// The logged twin of [`ScheduleEngine::makespans_into`]: one shared
@@ -3146,16 +2869,9 @@ impl ScheduleEngine {
         let mut logs = Vec::with_capacity(kinds.len());
         for &kind in kinds {
             let ScheduleEngine { state, policies } = self;
-            let mut commits = Vec::new();
-            policies.run_logged(state, problem, kind, &mut commits);
+            with_builtin!(policies, kind, |p| state.run::<_, true>(problem, p));
             makespans.push(state.makespan_of_events(problem));
-            logs.push(CommitLog {
-                root: problem.root,
-                message: problem.message,
-                n: problem.num_clusters(),
-                kind,
-                commits,
-            });
+            logs.push(state.take_log(problem, kind));
         }
         (makespans, logs)
     }
@@ -3195,7 +2911,8 @@ impl ScheduleEngine {
     pub fn warm_run(&mut self, problem: &BroadcastProblem, log: &CommitLog, delta: &ReplayDelta) {
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
-        policies.run_replay(state, problem, log, delta);
+        with_builtin!(policies, log.kind, |p| state
+            .run_replay(problem, p, log, delta));
     }
 
     /// The warm twin of [`ScheduleEngine::makespans_into`]: one shared
@@ -3215,7 +2932,8 @@ impl ScheduleEngine {
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
         for log in logs {
-            policies.run_replay(state, problem, log, delta);
+            with_builtin!(policies, log.kind, |p| state
+                .run_replay(problem, p, log, delta));
             out.push(state.makespan_of_events(problem));
         }
     }
@@ -3227,7 +2945,7 @@ impl ScheduleEngine {
         policy: &mut dyn SelectionPolicy,
     ) -> Schedule {
         self.state.prepare_tx(problem);
-        self.state.run(problem, policy);
+        self.state.run::<_, false>(problem, policy);
         self.state.schedule_of_events(problem, policy.name())
     }
 
@@ -3256,7 +2974,7 @@ impl ScheduleEngine {
     ) -> Schedule {
         let ScheduleEngine { state, policies } = self;
         state.prepare_costs(problem, costs);
-        policies.run(state, problem, kind);
+        with_builtin!(policies, kind, |p| state.run::<_, false>(problem, p));
         state.schedule_of_events(problem, kind.name())
     }
 
@@ -3275,7 +2993,7 @@ impl ScheduleEngine {
         policy: &mut dyn SelectionPolicy,
     ) -> Schedule {
         self.state.prepare_costs(problem, costs);
-        self.state.run(problem, policy);
+        self.state.run::<_, false>(problem, policy);
         self.state.schedule_of_events(problem, policy.name())
     }
 
@@ -3290,7 +3008,7 @@ impl ScheduleEngine {
     /// build; see [`ScheduleEngine::schedule_prepared`].
     fn makespan_prepared(&mut self, problem: &BroadcastProblem, kind: HeuristicKind) -> Time {
         let ScheduleEngine { state, policies } = self;
-        policies.run(state, problem, kind);
+        with_builtin!(policies, kind, |p| state.run::<_, false>(problem, p));
         state.makespan_of_events(problem)
     }
 
@@ -3529,54 +3247,55 @@ impl ScheduleEngine {
 /// degrades to the sequential fast path on the caller's shared engine, which
 /// is what makes the sharded entry point safe to call unconditionally.
 pub fn schedule_all_sharded(problem: &BroadcastProblem, kinds: &[HeuristicKind]) -> Vec<Schedule> {
-    let chunk = shard_chunk_size(kinds.len());
-    if chunk >= kinds.len() {
-        return with_shared_engine(|engine| engine.schedule_all(problem, kinds));
-    }
-    let mut out: Vec<Option<Schedule>> = (0..kinds.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (kind_chunk, out_chunk) in kinds.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut engine = pool_checkout();
-                let mut buf = Vec::with_capacity(kind_chunk.len());
-                engine.schedule_all_into(problem, kind_chunk, &mut buf);
-                for (slot, schedule) in out_chunk.iter_mut().zip(buf) {
-                    *slot = Some(schedule);
-                }
-                pool_return(engine);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("every kind was scheduled by its shard"))
-        .collect()
+    sharded(kinds, |engine, kinds| engine.schedule_all(problem, kinds))
 }
 
 /// Makespans of every heuristic in `kinds`, sharded across scoped worker
 /// threads like [`schedule_all_sharded`]; bit-identical to the sequential
 /// [`ScheduleEngine::makespans_into`] for any thread count.
 pub fn makespans_sharded(problem: &BroadcastProblem, kinds: &[HeuristicKind]) -> Vec<Time> {
+    sharded(kinds, |engine, kinds| {
+        let mut out = Vec::new();
+        engine.makespans_into(problem, kinds, &mut out);
+        out
+    })
+}
+
+/// The shard driver behind the sharded entry points: splits `kinds` into
+/// one contiguous chunk per available thread, runs `batch` on each chunk
+/// with a pooled engine, and concatenates the per-shard results in shard
+/// order — the sequential order, whatever the thread count. A single shard
+/// runs on the caller's shared engine without spawning.
+fn sharded<T: Send>(
+    kinds: &[HeuristicKind],
+    batch: impl Fn(&mut ScheduleEngine, &[HeuristicKind]) -> Vec<T> + Sync,
+) -> Vec<T> {
     let chunk = shard_chunk_size(kinds.len());
     if chunk >= kinds.len() {
-        return with_shared_engine(|engine| {
-            let mut out = Vec::new();
-            engine.makespans_into(problem, kinds, &mut out);
-            out
-        });
+        return with_shared_engine(|engine| batch(engine, kinds));
     }
-    let mut out = vec![Time::ZERO; kinds.len()];
+    let batch = &batch;
     std::thread::scope(|scope| {
-        for (kind_chunk, out_chunk) in kinds.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut engine = pool_checkout();
-                let mut buf = Vec::with_capacity(kind_chunk.len());
-                engine.makespans_into(problem, kind_chunk, &mut buf);
-                out_chunk.copy_from_slice(&buf);
-                pool_return(engine);
-            });
-        }
-    });
-    out
+        let shards: Vec<_> = kinds
+            .chunks(chunk)
+            .map(|kind_chunk| {
+                scope.spawn(move || {
+                    let mut engine = pool_checkout();
+                    let out = batch(&mut engine, kind_chunk);
+                    pool_return(engine);
+                    out
+                })
+            })
+            .collect();
+        shards
+            .into_iter()
+            .flat_map(|shard| {
+                shard
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 fn shard_chunk_size(kinds: usize) -> usize {
@@ -4072,6 +3791,75 @@ mod tests {
                     .all(|(a, b)| a.as_secs().to_bits() == b.as_secs().to_bits()),
                 "makespans diverge at {clusters} clusters"
             );
+        }
+    }
+
+    /// The rescan walk's two modes compute the same rows: midway through a
+    /// run, rebuilding every pending receiver with the pruned walk (the
+    /// commit path's) and with the unpruned walk (the warm-start rebuild's)
+    /// yields bit-identical rows, floors and gates, for every
+    /// sender-time-sensitive policy — the only ones the pruned walk serves.
+    #[test]
+    fn pruned_and_unpruned_rescans_rebuild_identical_rows() {
+        type RowBits = (u32, Vec<(u64, u32)>, (u64, u32), u64);
+        fn rebuild<P: SelectionPolicy + ?Sized, const PRUNE: bool>(
+            state: &mut EngineState,
+            problem: &BroadcastProblem,
+            policy: &P,
+        ) -> Vec<RowBits> {
+            state.pending.clear();
+            state.pending.extend_from_slice(&state.receivers);
+            state.rescan_pending::<P, PRUNE>(problem, policy);
+            let k = state.k_run;
+            let bits = |t: Time| t.as_secs().to_bits();
+            state
+                .receivers
+                .iter()
+                .map(|&r| {
+                    let j = r as usize;
+                    let row = (j * k..j * k + state.cand_len[j] as usize)
+                        .map(|slot| (bits(state.cand_score[slot]), state.cand_sender[slot]))
+                        .collect();
+                    let floor = (bits(state.floor_score[j]), state.floor_sender[j]);
+                    (r, row, floor, bits(state.gate[j]))
+                })
+                .collect()
+        }
+        let mut walked = [0u64; 2];
+        for (clusters, seed) in [(70usize, 11u64), (150, 12)] {
+            let problem = random_problem(clusters, seed);
+            for k in [Some(1), Some(2), None] {
+                let mut engine = k.map_or_else(ScheduleEngine::new, ScheduleEngine::with_k_best);
+                let ScheduleEngine { state, policies } = &mut engine;
+                state.prepare_tx(&problem);
+                for kind in HeuristicKind::all() {
+                    with_builtin!(policies, kind, |p| {
+                        if !p.sender_time_sensitive() {
+                            continue;
+                        }
+                        state.reset(&problem, p.row_decay());
+                        state.reset_policy(&problem, p);
+                        state.init_caches(&problem, p);
+                        for _ in 0..clusters / 2 {
+                            let ((_, r, s), _) = state.select_full::<_, false>(&problem, p);
+                            state.commit(&problem, p, ClusterId(s as usize), ClusterId(r as usize));
+                        }
+                        let before = state.telemetry.walked_senders;
+                        let pruned = rebuild::<_, true>(state, &problem, p);
+                        let middle = state.telemetry.walked_senders;
+                        let unpruned = rebuild::<_, false>(state, &problem, p);
+                        walked[0] += middle - before;
+                        walked[1] += state.telemetry.walked_senders - middle;
+                        assert_eq!(pruned.len(), clusters - 1 - clusters / 2);
+                        assert_eq!(pruned, unpruned, "{kind} at K={k:?} on {clusters} clusters");
+                    });
+                }
+            }
+        }
+        // The comparison is not vacuous: the pruned walk really skipped
+        // senders the unpruned one scored (counted with `telemetry` only).
+        if cfg!(feature = "telemetry") {
+            assert!(walked[0] < walked[1], "walked {walked:?}");
         }
     }
 

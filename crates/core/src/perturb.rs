@@ -346,6 +346,32 @@ impl ReplayDelta {
     }
 }
 
+/// Whether a perturbation chain is worth a warm start from the baseline's
+/// commit logs instead of a cold run. Grid-wide scaling dirties every sender
+/// row *and* patches `O(n²)` links (the bookkeeping costs more than the
+/// replay saves), and an alternate root makes the baseline log incompatible
+/// by construction — both take the cold path. The what-if runner and the
+/// serving daemon share this rule.
+pub fn warm_eligible(perturbations: &[Perturbation]) -> bool {
+    perturbations.iter().all(|p| {
+        !matches!(
+            p,
+            Perturbation::ScaleAllLinks { .. } | Perturbation::AlternateRoot { .. }
+        )
+    })
+}
+
+/// The winning slot of a candidate-makespan vector: smallest makespan, ties
+/// to the earlier slot; `None` when there is no candidate. The what-if
+/// runner and the serving daemon pick their heuristic with this rule.
+pub fn best_slot(makespans: &[Time]) -> Option<usize> {
+    makespans
+        .iter()
+        .enumerate()
+        .min_by(|(i, a), (j, b)| a.cmp(b).then(i.cmp(j)))
+        .map(|(i, _)| i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

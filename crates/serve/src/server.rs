@@ -22,6 +22,7 @@
 use crate::cache::{CacheEntry, CacheOutcome, ScheduleCache, ScheduleRecord};
 use crate::stats::ServerStats;
 use crate::wire::{self, GridSpec, OkResponse, Request, RequestLine};
+use gridcast_core::perturb::{best_slot, warm_eligible};
 use gridcast_core::{
     BroadcastProblem, CommitLog, HeuristicKind, Perturbation, ReplayDelta, ScheduleEngine,
     ScheduleEvent,
@@ -45,8 +46,10 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Schedule-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Maximum accepted request-line length in bytes; longer lines are
-    /// rejected with an error response.
+    /// Maximum accepted request-line length in bytes, counted before
+    /// trimming and without the newline; longer lines are rejected with an
+    /// error response, and the serving loop never buffers more than one
+    /// byte past this limit of a line.
     pub max_line_bytes: usize,
     /// Maximum requests dispatched per batch.
     pub max_batch: usize,
@@ -203,26 +206,9 @@ fn validate_against_grid(req: &Request, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The warm path only pays off when the perturbation leaves most commit
-/// rows intact; mirrors the what-if runner's eligibility rule.
-fn warm_eligible(perturbations: &[Perturbation]) -> bool {
-    !perturbations.is_empty()
-        && perturbations.iter().all(|p| {
-            !matches!(
-                p,
-                Perturbation::ScaleAllLinks { .. } | Perturbation::AlternateRoot { .. }
-            )
-        })
-}
-
-fn best_slot(makespans: &[Time]) -> usize {
-    makespans
-        .iter()
-        .enumerate()
-        .min_by(|(i, a), (j, b)| a.cmp(b).then(i.cmp(j)))
-        .map(|(i, _)| i)
-        .expect("the engine always evaluates all seven heuristics")
-}
+/// A winner pick cannot come up empty: the engine always evaluates all seven
+/// heuristics.
+const WINNER_EXISTS: &str = "the engine always evaluates all seven heuristics";
 
 struct WarmStart {
     logs: Arc<Vec<CommitLog>>,
@@ -252,14 +238,20 @@ fn run_job(engine: &mut ScheduleEngine, job: &Job) -> JobOutput {
         Some(warm) => {
             let mut makespans = Vec::new();
             engine.warm_makespans_into(&job.problem, &warm.logs, &warm.delta, &mut makespans);
-            let slot = job.slot_pin.unwrap_or_else(|| best_slot(&makespans));
+            let slot = job
+                .slot_pin
+                .or_else(|| best_slot(&makespans))
+                .expect(WINNER_EXISTS);
             engine.warm_run(&job.problem, &warm.logs[slot], &warm.delta);
             let events = engine.events().to_vec();
             (makespans, None, slot, events)
         }
         None => {
             let (makespans, logs) = engine.makespans_logged(&job.problem, &kinds);
-            let slot = job.slot_pin.unwrap_or_else(|| best_slot(&makespans));
+            let slot = job
+                .slot_pin
+                .or_else(|| best_slot(&makespans))
+                .expect(WINNER_EXISTS);
             let events = logs[slot].events();
             (makespans, Some(logs), slot, events)
         }
@@ -368,17 +360,20 @@ impl Server {
 
     /// Stages 1–3 for one line: admission, parse, resolution, classification.
     fn classify_line(&mut self, line: &str, jobs: &mut Vec<Job>, shutdown: &mut bool) -> Pending {
+        // The serving loop cuts a long line one byte past the limit, so the
+        // length is checked before trimming and never reported: the reader
+        // did not see the whole line.
         if line.len() > self.config.max_line_bytes {
             self.stats.errors += 1;
             return Pending::Ready(wire::render_error(
                 None,
                 &format!(
-                    "request line of {} bytes exceeds the limit of {}",
-                    line.len(),
+                    "request line exceeds the limit of {} bytes",
                     self.config.max_line_bytes
                 ),
             ));
         }
+        let line = line.trim();
         let req = match wire::parse_line(line) {
             Ok(RequestLine::Schedule(req)) => req,
             Ok(RequestLine::Stats) => return Pending::Stats,
@@ -424,7 +419,9 @@ impl Server {
 
         // A cached entry for the exact problem?
         if let Some(entry) = self.cache.get_mut(digest, &problem) {
-            let slot = slot_pin.unwrap_or_else(|| best_slot(&entry.makespans));
+            let slot = slot_pin
+                .or_else(|| best_slot(&entry.makespans))
+                .expect(WINNER_EXISTS);
             let complete = entry.records[slot]
                 .as_ref()
                 .is_some_and(|r| !req.execute || r.simulated.is_some());
@@ -464,7 +461,7 @@ impl Server {
                     outcome: CacheOutcome::Warm,
                 });
             }
-        } else if warm_eligible(&req.perturbations) {
+        } else if !req.perturbations.is_empty() && warm_eligible(&req.perturbations) {
             // Not cached — but the *unperturbed* neighbour might be, with
             // commit logs to warm-start from. (Warm-eligible chains never
             // move the root, so the base problem shares `req.root`.)
@@ -593,23 +590,48 @@ impl Server {
         W: Write,
     {
         let (tx, rx) = mpsc::channel::<std::io::Result<String>>();
+        // A line is buffered up to one byte past the limit and no further:
+        // that prefix already fails the length check, so it is forwarded at
+        // once and the rest of the line is discarded unread.
+        let cap = self.config.max_line_bytes.saturating_add(1) as u64;
         // The reader thread is detached on purpose: a shutdown command must
         // stop the daemon even if the peer never closes its end, and a
-        // blocked `read_line` cannot be interrupted portably. The thread
-        // exits on EOF, on error, or on its next line once the receiver is
-        // gone.
+        // blocked read cannot be interrupted portably. The thread exits on
+        // EOF, on error, or on its next line once the receiver is gone.
         std::thread::spawn(move || {
             let mut reader = BufReader::new(reader);
             loop {
-                let mut line = String::new();
-                match reader.read_line(&mut line) {
+                let mut buf = Vec::new();
+                match reader.by_ref().take(cap).read_until(b'\n', &mut buf) {
                     Ok(0) => break,
-                    Ok(_) => {
-                        if tx.send(Ok(line)).is_err() {
-                            break;
-                        }
-                    }
+                    Ok(_) => {}
                     Err(e) => {
+                        let _ = tx.send(Err(e));
+                        break;
+                    }
+                }
+                let cut = buf.len() as u64 == cap && buf.last() != Some(&b'\n');
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                }
+                let line = if cut {
+                    // The cut may split a character; lossy conversion never
+                    // makes the prefix shorter.
+                    Ok(String::from_utf8_lossy(&buf).into_owned())
+                } else {
+                    String::from_utf8(buf).map_err(|_| {
+                        std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            "stream did not contain valid UTF-8",
+                        )
+                    })
+                };
+                let failed = line.is_err();
+                if tx.send(line).is_err() || failed {
+                    break;
+                }
+                if cut {
+                    if let Err(e) = reader.skip_until(b'\n') {
                         let _ = tx.send(Err(e));
                         break;
                     }
@@ -635,8 +657,7 @@ impl Server {
             let shutdown = if batch.is_empty() {
                 false
             } else {
-                let trimmed: Vec<String> = batch.iter().map(|l| l.trim().to_string()).collect();
-                let (responses, shutdown) = self.handle_batch(&trimmed);
+                let (responses, shutdown) = self.handle_batch(&batch);
                 for response in responses {
                     writer.write_all(response.as_bytes())?;
                     writer.write_all(b"\n")?;

@@ -45,6 +45,7 @@ use crate::network::NodeNetwork;
 use crate::outcome::{Outcome, SimulationOutcome};
 use crate::plan::SendPlan;
 use crate::trace::NullSink;
+use gridcast_core::perturb::{best_slot, warm_eligible};
 use gridcast_core::{BroadcastProblem, CommitLog, HeuristicKind, ScheduleEngine};
 use gridcast_plogp::{MessageSize, Time};
 use gridcast_topology::{ClusterId, Grid};
@@ -188,31 +189,6 @@ struct WarmState {
     patched: Vec<(ClusterId, ClusterId)>,
 }
 
-/// The winning slot of a candidate-makespan vector: smallest makespan, ties
-/// to the earlier slot. An empty candidate set has no winner — that is a
-/// structured [`SimError::NoCandidates`], not a `min().unwrap()` panic.
-fn best_candidate(makespans: &[Time]) -> Result<(usize, Time), SimError> {
-    makespans
-        .iter()
-        .copied()
-        .enumerate()
-        .min_by(|(i, a), (j, b)| a.cmp(b).then(i.cmp(j)))
-        .ok_or(SimError::NoCandidates)
-}
-
-/// Whether the warm evaluation path handles this scenario. Grid-wide scaling
-/// dirties every sender row *and* patches `O(n²)` links (the bookkeeping
-/// costs more than the replay saves), and an alternate root makes the
-/// baseline log incompatible by construction — both take the cold path.
-fn warm_eligible(scenario: &Scenario) -> bool {
-    scenario.perturbations.iter().all(|p| {
-        !matches!(
-            p,
-            Perturbation::ScaleAllLinks { .. } | Perturbation::AlternateRoot { .. }
-        )
-    })
-}
-
 impl<'a> WhatIfRunner<'a> {
     /// A runner over `grid`, broadcasting `message` from `root`, evaluating
     /// every built-in heuristic, with one worker per available core.
@@ -333,13 +309,14 @@ impl<'a> WhatIfRunner<'a> {
                         scenario_chunk.iter().zip(out_chunk.iter_mut()).enumerate()
                     {
                         let report = match warm.as_mut() {
-                            Some(w) if warm_eligible(scenario) => self.try_evaluate_warm(
-                                &mut engine,
-                                w,
-                                &mut makespans,
-                                base + i,
-                                scenario,
-                            ),
+                            Some(w) if warm_eligible(&scenario.perturbations) => self
+                                .try_evaluate_warm(
+                                    &mut engine,
+                                    w,
+                                    &mut makespans,
+                                    base + i,
+                                    scenario,
+                                ),
                             _ => self.try_evaluate(&mut engine, &mut makespans, base + i, scenario),
                         };
                         let failed = report.is_err();
@@ -401,8 +378,8 @@ impl<'a> WhatIfRunner<'a> {
         let (grid, root) = scenario.apply(self.grid, self.root);
         let problem = BroadcastProblem::from_grid(&grid, root, self.message);
         engine.makespans_into(&problem, &self.kinds, makespans);
-        let (best_slot, predicted) = best_candidate(makespans)?;
-        let best = self.kinds[best_slot];
+        let slot = best_slot(makespans).ok_or(SimError::NoCandidates)?;
+        let (best, predicted) = (self.kinds[slot], makespans[slot]);
         let schedule = engine.schedule(&problem, best);
         let (outcome, retries, undelivered) = match self.effective_faults(scenario) {
             None => (self.simulate(&grid, &schedule), 0, 0),
@@ -471,9 +448,9 @@ impl<'a> WhatIfRunner<'a> {
         let delta =
             ReplayDelta::from_perturbations(warm.problem.num_clusters(), &scenario.perturbations);
         engine.warm_makespans_into(&warm.problem, &warm.logs, &delta, makespans);
-        let (best_slot, predicted) = best_candidate(makespans)?;
-        let best = self.kinds[best_slot];
-        engine.warm_run(&warm.problem, &warm.logs[best_slot], &delta);
+        let slot = best_slot(makespans).ok_or(SimError::NoCandidates)?;
+        let (best, predicted) = (self.kinds[slot], makespans[slot]);
+        engine.warm_run(&warm.problem, &warm.logs[slot], &delta);
         let plan =
             SendPlan::from_inter_cluster_events(&warm.scratch, warm.problem.root, engine.events());
         let (outcome, retries, undelivered) = match self.effective_faults(scenario) {
