@@ -1,7 +1,7 @@
 //! The broadcast problem instance handed to the scheduling heuristics.
 
 use gridcast_collectives::intra_broadcast_time;
-use gridcast_plogp::{Fnv1a, MessageSize, Time};
+use gridcast_plogp::{ContentHasher, MessageSize, Time};
 use gridcast_topology::{ClusterId, Grid, SquareMatrix};
 use serde::{Deserialize, Serialize};
 
@@ -151,21 +151,21 @@ impl BroadcastProblem {
     /// schedule cache key of the serving layer — which, since 64 bits are an
     /// index and not a proof, pairs each digest hit with a full `==` check
     /// before reusing a cached schedule.
+    ///
+    /// The header fixes the dimension, so the stream length is fixed too,
+    /// and the hasher's steps are bijections: changing any one entry always
+    /// changes the digest.
     pub fn content_digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        let n = self.num_clusters();
+        fn bits(times: &[Time]) -> impl Iterator<Item = u64> + '_ {
+            times.iter().map(|t| t.as_secs().to_bits())
+        }
+        let mut h = ContentHasher::new();
         h.write_u64(self.root.index() as u64)
             .write_u64(self.message.as_bytes())
-            .write_u64(n as u64);
-        for i in 0..n {
-            for j in 0..n {
-                h.write_f64(self.latency[(i, j)].as_secs())
-                    .write_f64(self.gap[(i, j)].as_secs());
-            }
-        }
-        for t in &self.intra_time {
-            h.write_f64(t.as_secs());
-        }
+            .write_u64(self.num_clusters() as u64)
+            .write_words(bits(self.latency.as_slice()))
+            .write_words(bits(self.gap.as_slice()))
+            .write_words(bits(&self.intra_time));
         h.finish()
     }
 
@@ -294,6 +294,56 @@ mod tests {
         let idx = (0usize, 1usize);
         nudged.gap[idx] = Time::from_secs(nudged.gap[idx].as_secs() + f64::EPSILON);
         assert_ne!(base.content_digest(), nudged.content_digest());
+    }
+
+    #[test]
+    fn every_one_ulp_entry_change_changes_the_digest() {
+        use gridcast_topology::GridGenerator;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        use std::collections::HashSet;
+
+        let grid = GridGenerator::table2().generate(30, &mut ChaCha8Rng::seed_from_u64(7));
+        let base = BroadcastProblem::from_grid(&grid, ClusterId(3), MessageSize::from_mib(1));
+        let n = base.num_clusters();
+        // One ULP up; the zero diagonal becomes the smallest subnormal.
+        let bump = |t: Time| Time::from_secs(f64::from_bits(t.as_secs().to_bits() + 1));
+        let mut seen = HashSet::from([base.content_digest()]);
+        let mut fresh = |p: &BroadcastProblem, what: String| {
+            assert!(seen.insert(p.content_digest()), "{what} kept a seen digest");
+        };
+        for i in 0..n {
+            for j in 0..n {
+                let mut p = base.clone();
+                p.latency[(i, j)] = bump(p.latency[(i, j)]);
+                fresh(&p, format!("latency ({i}, {j})"));
+                let mut p = base.clone();
+                p.gap[(i, j)] = bump(p.gap[(i, j)]);
+                fresh(&p, format!("gap ({i}, {j})"));
+            }
+            let mut p = base.clone();
+            p.intra_time[i] = bump(p.intra_time[i]);
+            fresh(&p, format!("intra time {i}"));
+        }
+        let mut p = base.clone();
+        p.root = ClusterId(4);
+        fresh(&p, "root".into());
+        let mut p = base.clone();
+        p.message = MessageSize::from_bytes(base.message.as_bytes() + 1);
+        fresh(&p, "payload".into());
+        let smaller = GridGenerator::table2().generate(29, &mut ChaCha8Rng::seed_from_u64(7));
+        let p = BroadcastProblem::from_grid(&smaller, ClusterId(3), MessageSize::from_mib(1));
+        fresh(&p, "dimension".into());
+    }
+
+    #[test]
+    fn signed_zeros_digest_differently() {
+        let zero = tiny_problem();
+        let mut negative = zero.clone();
+        negative.latency[(0, 0)] = Time::from_secs(-0.0);
+        // Numerically equal, but bit identity is the cache's contract.
+        assert_eq!(negative.latency[(0, 0)].as_secs(), 0.0);
+        assert_ne!(zero.content_digest(), negative.content_digest());
     }
 
     #[test]

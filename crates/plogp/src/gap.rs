@@ -15,7 +15,7 @@
 //!   (a handful of message sizes are benchmarked and intermediate sizes are
 //!   interpolated).
 
-use crate::{Fnv1a, MessageSize, PLogPError, Time};
+use crate::{ContentHasher, MessageSize, PLogPError, Time};
 use serde::{Deserialize, Serialize};
 
 /// A single measured (message size, gap) sample.
@@ -151,7 +151,7 @@ impl GapFunction {
     /// Absorbs this gap function into a content digest. The variant is tagged
     /// so an `Affine` and a `Constant` that happen to share parameter bits
     /// cannot collide, and table samples are length-prefixed.
-    pub fn digest_into(&self, h: &mut Fnv1a) {
+    pub fn digest_into(&self, h: &mut ContentHasher) {
         match self {
             GapFunction::Affine { g0, bandwidth } => {
                 h.write_u64(0).write_f64(g0.as_secs()).write_f64(*bandwidth);

@@ -28,8 +28,9 @@
 //! * [`measurement`] — a simulated reproduction of the RTT-saturation measurement
 //!   procedure used to obtain pLogP parameters on a real platform,
 //! * [`MessageSize`] — byte counts with convenience constructors,
-//! * [`Fnv1a`] — a tiny content-digest hasher over IEEE-754 bit patterns, the
-//!   substrate of the grid/problem identity hashes the schedule cache keys on.
+//! * [`ContentHasher`] — a tiny word-wise content-digest hasher over IEEE-754
+//!   bit patterns, the substrate of the grid/problem identity hashes the
+//!   schedule cache keys on.
 //!
 //! ## Quick example
 //!
@@ -54,7 +55,7 @@ pub mod message;
 pub mod model;
 pub mod time;
 
-pub use digest::Fnv1a;
+pub use digest::ContentHasher;
 pub use error::PLogPError;
 pub use gap::GapFunction;
 pub use measurement::{estimate_from_rtt, MeasurementConfig, MeasurementRun};

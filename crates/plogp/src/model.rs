@@ -1,6 +1,6 @@
 //! The pLogP parameter set and point-to-point cost model.
 
-use crate::{Fnv1a, GapFunction, MessageSize, PLogPError, Time};
+use crate::{ContentHasher, GapFunction, MessageSize, PLogPError, Time};
 use serde::{Deserialize, Serialize};
 
 /// Full pLogP parameter set describing one directed link (or one homogeneous
@@ -150,7 +150,7 @@ impl PLogP {
     /// Absorbs the full parameter set into a content digest: latency bits, the
     /// (variant-tagged) gap function, and both overhead fractions. Two links
     /// digest equal iff every parameter is bit-identical.
-    pub fn digest_into(&self, h: &mut Fnv1a) {
+    pub fn digest_into(&self, h: &mut ContentHasher) {
         h.write_f64(self.latency.as_secs());
         self.gap.digest_into(h);
         h.write_f64(self.os_fraction).write_f64(self.or_fraction);

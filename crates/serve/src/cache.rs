@@ -1,13 +1,14 @@
 //! The schedule cache: full-problem identity in, scheduling work out.
 //!
-//! The cache key is the [`BroadcastProblem::content_digest`] — a 64-bit FNV
-//! over the root, the payload and every entry of the latency/gap/intra
-//! matrices. The grid alone is **not** a key: the same topology broadcast
-//! from a different root or with a different payload is a different problem
-//! and caching it under the grid would serve wrong answers. And because a
-//! 64-bit digest is an index rather than a proof, every lookup re-verifies
-//! **full problem equality** against the stored problem before serving;
-//! distinct problems that happen to collide coexist in one bucket.
+//! The cache key is the [`BroadcastProblem::content_digest`] — a 64-bit
+//! content hash over the root, the payload and every entry of the
+//! latency/gap/intra matrices. The grid alone is **not** a key: the same
+//! topology broadcast from a different root or with a different payload is
+//! a different problem and caching it under the grid would serve wrong
+//! answers. And because a 64-bit digest is an index rather than a proof,
+//! every lookup re-verifies **full problem equality** against the stored
+//! problem before serving; distinct problems that happen to collide coexist
+//! in one bucket.
 //!
 //! Cold runs store their per-heuristic [`CommitLog`]s. A later request for a
 //! *perturbed neighbour* of a cached problem (one degraded link, a slowed
@@ -18,7 +19,7 @@
 
 use gridcast_core::{BroadcastProblem, CommitLog, HeuristicKind, ScheduleEvent};
 use gridcast_plogp::Time;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// How a response was produced, as reported on the wire.
@@ -105,17 +106,24 @@ impl CacheEntry {
 /// never push out a warm base, and a flood of fresh cold problems only
 /// displaces bases that stopped being used.
 ///
-/// The victim scan is `O(len)`, paid only on insertions past capacity;
-/// serving-cache capacities are small enough (hundreds) that the scan is
-/// noise next to the scheduling work an eviction implies, and the choice is
-/// deterministic (stamps are unique), preserving the daemon's bit-identical
-/// transcript invariant.
+/// The victim is the first key of a recency index ordered by
+/// `(holds_logs, last_used)`, so eviction costs `O(log len)` at any
+/// capacity: the daemon's default of 4096 entries, scattered over as many
+/// buckets, makes a scan of every entry cost more than a cache hit. Stamps
+/// are unique, so the victim is deterministic, preserving the daemon's
+/// bit-identical transcript invariant.
 #[derive(Debug)]
 pub struct ScheduleCache {
     capacity: usize,
     buckets: HashMap<u64, Vec<CacheEntry>>,
+    /// One key per entry, `(holds_logs, last_used)`, mapped to the digest
+    /// of its bucket; the first key is the eviction victim.
+    recency: BTreeMap<(bool, u64), u64>,
+    /// The entry [`ScheduleCache::get_mut`] last lent out, as
+    /// `(digest, last_used)`: its caller may have changed its `logs`, so its
+    /// tier is re-read before the index is next used.
+    lent: Option<(u64, u64)>,
     tick: u64,
-    len: usize,
 }
 
 impl ScheduleCache {
@@ -125,19 +133,20 @@ impl ScheduleCache {
         ScheduleCache {
             capacity,
             buckets: HashMap::new(),
+            recency: BTreeMap::new(),
+            lent: None,
             tick: 0,
-            len: 0,
         }
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.recency.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.recency.is_empty()
     }
 
     /// Looks up the entry for `problem`, verifying full equality — a digest
@@ -146,6 +155,7 @@ impl ScheduleCache {
     /// refreshes the entry's recency stamp (warm-starting from a base goes
     /// through here, which is what keeps hot bases resident).
     pub fn get_mut(&mut self, digest: u64, problem: &BroadcastProblem) -> Option<&mut CacheEntry> {
+        self.settle_lent();
         self.tick += 1;
         let tick = self.tick;
         let entry = self
@@ -153,7 +163,11 @@ impl ScheduleCache {
             .get_mut(&digest)?
             .iter_mut()
             .find(|e| e.problem == *problem)?;
+        let tier = entry.logs.is_some();
+        self.recency.remove(&(tier, entry.last_used));
+        self.recency.insert((tier, tick), digest);
         entry.last_used = tick;
+        self.lent = Some((digest, tick));
         Some(entry)
     }
 
@@ -164,36 +178,51 @@ impl ScheduleCache {
         if self.capacity == 0 {
             return;
         }
+        self.settle_lent();
         self.tick += 1;
         entry.last_used = self.tick;
+        self.recency
+            .insert((entry.logs.is_some(), entry.last_used), digest);
         self.buckets.entry(digest).or_default().push(entry);
-        self.len += 1;
-        while self.len > self.capacity {
+        while self.recency.len() > self.capacity {
             self.evict_one();
         }
     }
 
-    /// Removes the least-recently-used entry, preferring unpinned (log-less)
-    /// entries over warm-start bases: lexicographic minimum of
-    /// `(holds_logs, last_used)`. Stamps are unique, so the victim is
-    /// deterministic regardless of bucket iteration order.
-    fn evict_one(&mut self) {
-        let mut victim: Option<(u64, usize, (bool, u64))> = None;
-        for (&digest, bucket) in &self.buckets {
-            for (i, e) in bucket.iter().enumerate() {
-                let rank = (e.logs.is_some(), e.last_used);
-                if victim.is_none_or(|(_, _, best)| rank < best) {
-                    victim = Some((digest, i, rank));
-                }
-            }
+    /// Moves the last lent-out entry to the tier its `logs` now say, so the
+    /// index orders every entry exactly as a scan of the entries would.
+    fn settle_lent(&mut self) {
+        let Some((digest, stamp)) = self.lent.take() else {
+            return;
+        };
+        let tier = self.buckets[&digest]
+            .iter()
+            .find(|e| e.last_used == stamp)
+            .expect("a lent entry stays resident until the next cache call")
+            .logs
+            .is_some();
+        if self.recency.remove(&(!tier, stamp)).is_some() {
+            self.recency.insert((tier, stamp), digest);
         }
-        let (digest, slot, _) = victim.expect("eviction runs only on a non-empty cache");
+    }
+
+    /// Removes the least-recently-used entry, preferring unpinned (log-less)
+    /// entries over warm-start bases: the lexicographic minimum of
+    /// `(holds_logs, last_used)`, the first key of the recency index.
+    fn evict_one(&mut self) {
+        let ((_, stamp), digest) = self
+            .recency
+            .pop_first()
+            .expect("eviction runs only on a non-empty cache");
         let bucket = self.buckets.get_mut(&digest).expect("victim bucket exists");
+        let slot = bucket
+            .iter()
+            .position(|e| e.last_used == stamp)
+            .expect("every indexed stamp names a resident entry");
         bucket.remove(slot);
         if bucket.is_empty() {
             self.buckets.remove(&digest);
         }
-        self.len -= 1;
     }
 }
 
@@ -202,7 +231,7 @@ mod tests {
     use super::*;
     use gridcast_plogp::MessageSize;
     use gridcast_topology::{ClusterId, GridGenerator};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn problem(seed: u64) -> BroadcastProblem {
@@ -322,6 +351,165 @@ mod tests {
         assert!(cache
             .get_mut(fresh[2].content_digest(), &fresh[2])
             .is_some());
+    }
+
+    /// The O(len) victim scan the recency index replaced, kept verbatim as
+    /// the eviction oracle; it records each victim's stamp.
+    struct ScanCache {
+        capacity: usize,
+        buckets: HashMap<u64, Vec<CacheEntry>>,
+        tick: u64,
+        len: usize,
+        victims: Vec<u64>,
+    }
+
+    impl ScanCache {
+        fn get_mut(&mut self, digest: u64, problem: &BroadcastProblem) -> Option<&mut CacheEntry> {
+            self.tick += 1;
+            let tick = self.tick;
+            let entry = self
+                .buckets
+                .get_mut(&digest)?
+                .iter_mut()
+                .find(|e| e.problem == *problem)?;
+            entry.last_used = tick;
+            Some(entry)
+        }
+
+        fn insert(&mut self, digest: u64, mut entry: CacheEntry) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.tick += 1;
+            entry.last_used = self.tick;
+            self.buckets.entry(digest).or_default().push(entry);
+            self.len += 1;
+            while self.len > self.capacity {
+                self.evict_one();
+            }
+        }
+
+        fn evict_one(&mut self) {
+            let mut victim: Option<(u64, usize, (bool, u64))> = None;
+            for (&digest, bucket) in &self.buckets {
+                for (i, e) in bucket.iter().enumerate() {
+                    let rank = (e.logs.is_some(), e.last_used);
+                    if victim.is_none_or(|(_, _, best)| rank < best) {
+                        victim = Some((digest, i, rank));
+                    }
+                }
+            }
+            let (digest, slot, (_, stamp)) = victim.expect("non-empty");
+            let bucket = self.buckets.get_mut(&digest).expect("victim bucket exists");
+            bucket.remove(slot);
+            if bucket.is_empty() {
+                self.buckets.remove(&digest);
+            }
+            self.len -= 1;
+            self.victims.push(stamp);
+        }
+    }
+
+    /// `(digest, last_used, holds_logs, problem id)` of every entry, sorted.
+    fn contents(buckets: &HashMap<u64, Vec<CacheEntry>>) -> Vec<(u64, u64, bool, u64)> {
+        let mut all: Vec<_> = buckets
+            .iter()
+            .flat_map(|(&d, b)| {
+                b.iter()
+                    .map(move |e| (d, e.last_used, e.logs.is_some(), id_of(e)))
+            })
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// The problem id a differential-test entry carries in its makespans.
+    fn id_of(e: &CacheEntry) -> u64 {
+        e.makespans[0].as_secs() as u64
+    }
+
+    #[test]
+    fn indexed_eviction_matches_the_scan_oracle() {
+        // 100 distinct problems (one grid, five roots, twenty payloads) under
+        // 16 digests, so buckets hold several colliding problems each.
+        let grid = GridGenerator::table2()
+            .cluster_size(4)
+            .generate(5, &mut ChaCha8Rng::seed_from_u64(9));
+        let problems: Vec<_> = (0..100u64)
+            .map(|i| {
+                BroadcastProblem::from_grid(
+                    &grid,
+                    ClusterId((i % 5) as usize),
+                    MessageSize::from_kib(1 + i / 5),
+                )
+            })
+            .collect();
+        let digest = |id: u64| id % 16;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+        for capacity in 1..=64 {
+            let mut cache = ScheduleCache::new(capacity);
+            let mut oracle = ScanCache {
+                capacity,
+                buckets: HashMap::new(),
+                tick: 0,
+                len: 0,
+                victims: Vec::new(),
+            };
+            let mut victims = Vec::new();
+            for _ in 0..400 {
+                let id = rng.gen_range_u64(0, problems.len() as u64);
+                let problem = &problems[id as usize];
+                let present = oracle
+                    .buckets
+                    .get(&digest(id))
+                    .is_some_and(|b| b.iter().any(|e| id_of(e) == id));
+                // Inserts of absent problems follow any operation, including
+                // a hit whose caller just changed the entry's tier.
+                if !present && rng.gen_f64() < 0.5 {
+                    let logs = (rng.gen_f64() < 0.5).then(|| Arc::new(Vec::new()));
+                    let tagged = || {
+                        let makespans = vec![Time::from_secs(id as f64); HeuristicKind::COUNT];
+                        CacheEntry::new(problem.clone(), makespans, logs.clone())
+                    };
+                    let before = contents(&cache.buckets);
+                    cache.insert(digest(id), tagged());
+                    oracle.insert(digest(id), tagged());
+                    let after = contents(&cache.buckets);
+                    victims.extend(
+                        before
+                            .iter()
+                            .chain([&(digest(id), cache.tick, logs.is_some(), id)])
+                            .filter(|e| !after.contains(e))
+                            .map(|e| e.1),
+                    );
+                } else {
+                    // A tenth of the probes use a neighbouring digest: a
+                    // collision that equality verification must turn away.
+                    let probe = digest(id + u64::from(rng.gen_f64() < 0.1));
+                    let toggle = rng.gen_f64() < 0.25;
+                    let flip = |e: &mut CacheEntry| {
+                        if toggle {
+                            e.logs = e.logs.take().xor(Some(Arc::new(Vec::new())));
+                        }
+                    };
+                    let hit = cache.get_mut(probe, problem).map(flip);
+                    let oracle_hit = oracle.get_mut(probe, problem).map(flip);
+                    assert_eq!(hit.is_some(), oracle_hit.is_some(), "capacity {capacity}");
+                }
+                assert_eq!(victims, oracle.victims, "capacity {capacity}");
+                assert_eq!(
+                    contents(&cache.buckets),
+                    contents(&oracle.buckets),
+                    "capacity {capacity}"
+                );
+                assert_eq!(cache.len(), oracle.len);
+            }
+            assert!(
+                capacity >= 48 || victims.len() > 20,
+                "capacity {capacity} evicted only {} times",
+                victims.len()
+            );
+        }
     }
 
     #[test]

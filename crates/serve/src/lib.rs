@@ -15,9 +15,10 @@
 //!   typed [`wire::Request`]s (malformed input is an error *response*, never a
 //!   panic — the vendored JSON parser is hardened against truncation, bad
 //!   escapes, out-of-range numbers and pathological nesting), and
-//!   deterministic rendering of responses back to JSON lines.
+//!   deterministic rendering of responses straight into JSON lines.
 //! * [`cache`] — the schedule cache, keyed by **full problem identity**
-//!   (grid content digest + root + payload, via
+//!   (a word-wise content digest of the evaluated link matrices, intra
+//!   times, root and payload, via
 //!   [`gridcast_core::BroadcastProblem::content_digest`]), never by grid
 //!   name alone. A digest is an index, not a proof: every lookup re-checks
 //!   full problem equality before serving. Cold runs store their commit

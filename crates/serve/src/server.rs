@@ -206,6 +206,10 @@ fn validate_against_grid(req: &Request, n: usize) -> Result<(), String> {
     Ok(())
 }
 
+fn micros_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
 /// A winner pick cannot come up empty: the engine always evaluates all seven
 /// heuristics.
 const WINNER_EXISTS: &str = "the engine always evaluates all seven heuristics";
@@ -333,17 +337,16 @@ impl Server {
         for line in lines {
             self.stats.requests += 1;
             let p = self.classify_line(line, &mut jobs, &mut shutdown);
+            if !matches!(p, Pending::Job { .. }) {
+                self.stats.latency.record(micros_since(started));
+            }
             pending.push(p);
         }
 
-        self.dispatch_and_merge(&jobs, &mut pending);
+        self.dispatch_and_merge(&jobs, &mut pending, started);
 
         self.stats.batches += 1;
         self.stats.max_batch = self.stats.max_batch.max(lines.len());
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        for _ in lines {
-            self.stats.latency.record(micros);
-        }
 
         let responses = pending
             .into_iter()
@@ -513,8 +516,9 @@ impl Server {
     }
 
     /// Stages 4–5: run jobs on the engine pool, fold results into the cache
-    /// and render the waiting responses.
-    fn dispatch_and_merge(&mut self, jobs: &[Job], pending: &mut [Pending]) {
+    /// and render the waiting responses, recording each one's latency since
+    /// `started` as it is rendered.
+    fn dispatch_and_merge(&mut self, jobs: &[Job], pending: &mut [Pending], started: Instant) {
         if jobs.is_empty() {
             return;
         }
@@ -573,6 +577,7 @@ impl Server {
                     simulated: output.simulated,
                 });
                 *p = Pending::Ready(line);
+                self.stats.latency.record(micros_since(started));
             }
         }
     }

@@ -84,7 +84,10 @@ pub struct ServerStats {
     pub batches: u64,
     /// Largest batch dispatched so far.
     pub max_batch: usize,
-    /// Per-request end-to-end latency (batch admission to response render).
+    /// Per-request latency: one sample per line, from its batch's admission
+    /// to the moment its own response is ready. Hits, errors and control
+    /// lines are ready once classified; scheduled lines once their job has
+    /// been merged and the response rendered.
     pub latency: LatencyHistogram,
 }
 

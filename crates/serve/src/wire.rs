@@ -3,10 +3,10 @@
 //! One request per line. Malformed lines — truncated JSON, unknown fields of
 //! the wrong shape, non-finite factors, out-of-range indices — produce an
 //! error *response* on the corresponding output line; nothing on the wire can
-//! panic the daemon. Responses are rendered through the vendored
-//! `serde_json` with a fixed field order and `{:?}`-style float formatting,
-//! so byte-identical problems produce byte-identical response lines — the
-//! property the cache-consistency tests pin down.
+//! panic the daemon. Responses are written with the vendored `serde_json`'s
+//! number and string writers, with a fixed field order and `{:?}`-style
+//! float formatting, so byte-identical problems produce byte-identical
+//! response lines — the property the cache-consistency tests pin down.
 
 use gridcast_core::{HeuristicKind, Perturbation, ScheduleEvent};
 use gridcast_plogp::{MessageSize, Time};
@@ -307,48 +307,67 @@ pub struct OkResponse {
     pub simulated: Option<(Time, usize)>,
 }
 
-fn push_id(fields: &mut Vec<(String, Value)>, id: Option<u64>) {
+/// Opens a response object: `{`, then the echoed id when there is one.
+fn open_response(out: &mut String, id: Option<u64>) {
+    out.push('{');
     if let Some(id) = id {
-        fields.push(("id".into(), Value::U64(id)));
+        out.push_str("\"id\":");
+        serde_json::write_u64(id, out);
+        out.push(',');
     }
 }
 
 /// Renders a successful response as one JSON line (no trailing newline).
+///
+/// Streams straight into one pre-sized `String` through the vendored
+/// `serde_json`'s own number and string writers, so the bytes are exactly
+/// those of serialising the equivalent `Value` tree.
 pub fn render_ok(r: &OkResponse) -> String {
-    let mut fields = Vec::new();
-    push_id(&mut fields, r.id);
-    fields.push(("status".into(), Value::Str("ok".into())));
-    fields.push(("heuristic".into(), Value::Str(r.heuristic.into())));
-    fields.push(("predicted_secs".into(), Value::F64(r.predicted.as_secs())));
-    fields.push(("cache".into(), Value::Str(r.cache.into())));
-    if let Some(events) = &r.schedule {
-        let rendered = events
-            .iter()
-            .map(|e| {
-                Value::Map(vec![
-                    ("sender".into(), Value::U64(e.sender.index() as u64)),
-                    ("receiver".into(), Value::U64(e.receiver.index() as u64)),
-                    ("start_secs".into(), Value::F64(e.start.as_secs())),
-                    ("arrival_secs".into(), Value::F64(e.arrival.as_secs())),
-                ])
-            })
-            .collect();
-        fields.push(("schedule".into(), Value::Seq(rendered)));
+    let events = r.schedule.as_deref().unwrap_or_default();
+    let mut out = String::with_capacity(160 + 112 * events.len());
+    open_response(&mut out, r.id);
+    out.push_str("\"status\":\"ok\",\"heuristic\":");
+    serde_json::write_string(r.heuristic, &mut out);
+    out.push_str(",\"predicted_secs\":");
+    serde_json::write_f64(r.predicted.as_secs(), &mut out);
+    out.push_str(",\"cache\":");
+    serde_json::write_string(r.cache, &mut out);
+    if r.schedule.is_some() {
+        out.push_str(",\"schedule\":[");
+        for (i, e) in events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"sender\":");
+            serde_json::write_u64(e.sender.index() as u64, &mut out);
+            out.push_str(",\"receiver\":");
+            serde_json::write_u64(e.receiver.index() as u64, &mut out);
+            out.push_str(",\"start_secs\":");
+            serde_json::write_f64(e.start.as_secs(), &mut out);
+            out.push_str(",\"arrival_secs\":");
+            serde_json::write_f64(e.arrival.as_secs(), &mut out);
+            out.push('}');
+        }
+        out.push(']');
     }
     if let Some((completion, events_processed)) = r.simulated {
-        fields.push(("simulated_secs".into(), Value::F64(completion.as_secs())));
-        fields.push(("sim_events".into(), Value::U64(events_processed as u64)));
+        out.push_str(",\"simulated_secs\":");
+        serde_json::write_f64(completion.as_secs(), &mut out);
+        out.push_str(",\"sim_events\":");
+        serde_json::write_u64(events_processed as u64, &mut out);
     }
-    serde_json::to_string(&Value::Map(fields)).expect("response rendering is infallible")
+    out.push('}');
+    out
 }
 
 /// Renders an error response as one JSON line (no trailing newline).
 pub fn render_error(id: Option<u64>, message: &str) -> String {
-    let mut fields = Vec::new();
-    push_id(&mut fields, id);
-    fields.push(("status".into(), Value::Str("error".into())));
-    fields.push(("error".into(), Value::Str(message.into())));
-    serde_json::to_string(&Value::Map(fields)).expect("response rendering is infallible")
+    let mut out = String::with_capacity(40 + message.len());
+    open_response(&mut out, id);
+    out.push_str("\"status\":\"error\",\"error\":");
+    serde_json::write_string(message, &mut out);
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -445,6 +464,131 @@ mod tests {
             r#"{"grid":"g","include_schedule":"yes"}"#,
         ] {
             assert!(parse_line(line).is_err(), "line should be rejected: {line}");
+        }
+    }
+
+    fn push_id(fields: &mut Vec<(String, Value)>, id: Option<u64>) {
+        if let Some(id) = id {
+            fields.push(("id".into(), Value::U64(id)));
+        }
+    }
+
+    /// The `Value`-tree rendering `render_ok` streams past, kept as its
+    /// oracle.
+    fn render_ok_tree(r: &OkResponse) -> String {
+        let mut fields = Vec::new();
+        push_id(&mut fields, r.id);
+        fields.push(("status".into(), Value::Str("ok".into())));
+        fields.push(("heuristic".into(), Value::Str(r.heuristic.into())));
+        fields.push(("predicted_secs".into(), Value::F64(r.predicted.as_secs())));
+        fields.push(("cache".into(), Value::Str(r.cache.into())));
+        if let Some(events) = &r.schedule {
+            let rendered = events
+                .iter()
+                .map(|e| {
+                    Value::Map(vec![
+                        ("sender".into(), Value::U64(e.sender.index() as u64)),
+                        ("receiver".into(), Value::U64(e.receiver.index() as u64)),
+                        ("start_secs".into(), Value::F64(e.start.as_secs())),
+                        ("arrival_secs".into(), Value::F64(e.arrival.as_secs())),
+                    ])
+                })
+                .collect();
+            fields.push(("schedule".into(), Value::Seq(rendered)));
+        }
+        if let Some((completion, events_processed)) = r.simulated {
+            fields.push(("simulated_secs".into(), Value::F64(completion.as_secs())));
+            fields.push(("sim_events".into(), Value::U64(events_processed as u64)));
+        }
+        serde_json::to_string(&Value::Map(fields)).unwrap()
+    }
+
+    /// The `Value`-tree rendering `render_error` streams past, kept as its
+    /// oracle.
+    fn render_error_tree(id: Option<u64>, message: &str) -> String {
+        let mut fields = Vec::new();
+        push_id(&mut fields, id);
+        fields.push(("status".into(), Value::Str("error".into())));
+        fields.push(("error".into(), Value::Str(message.into())));
+        serde_json::to_string(&Value::Map(fields)).unwrap()
+    }
+
+    #[test]
+    fn direct_rendering_matches_the_value_tree() {
+        use rand::{Rng, RngCore, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        // `Time` rejects NaN at construction; arithmetic is how one arrives.
+        let nan = Time::INFINITY - Time::INFINITY;
+        assert!(nan.as_secs().is_nan());
+        let special = [
+            nan,
+            Time::INFINITY,
+            Time::from_secs(f64::NEG_INFINITY),
+            Time::from_secs(-0.0),
+            Time::ZERO,
+            Time::from_secs(f64::from_bits(1)),
+            Time::from_secs(f64::MIN_POSITIVE / 3.0),
+            Time::from_secs(0.1 + 0.2),
+            Time::from_secs(1.0 / 3.0),
+            Time::from_secs(f64::MAX),
+            Time::from_secs(1e-7),
+            Time::from_secs(123_456_789.012_345_67),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7e57);
+        let time = |rng: &mut ChaCha8Rng| {
+            if rng.gen_f64() < 0.5 {
+                special[rng.gen_range_u64(0, special.len() as u64) as usize]
+            } else {
+                // Any bit pattern, NaN payloads included.
+                let bits = rng.next_u64();
+                let x = f64::from_bits(bits);
+                if x.is_nan() {
+                    nan
+                } else {
+                    Time::from_secs(x)
+                }
+            }
+        };
+        let names = [
+            "ECEF-LAT",
+            "Flat Tree",
+            "quote\"back\\slash",
+            "tab\tnew\nline\u{1}",
+            "é✓",
+        ];
+        let pick = |rng: &mut ChaCha8Rng| names[rng.gen_range_u64(0, names.len() as u64) as usize];
+        for case in 0..400 {
+            let schedule = (rng.gen_f64() < 0.6).then(|| {
+                (0..rng.gen_range_u64(0, 120))
+                    .map(|_| ScheduleEvent {
+                        sender: ClusterId(rng.gen_range_u64(0, 1 << 20) as usize),
+                        receiver: ClusterId(rng.next_u64() as usize),
+                        start: time(&mut rng),
+                        arrival: time(&mut rng),
+                    })
+                    .collect()
+            });
+            let ok = OkResponse {
+                id: (rng.gen_f64() < 0.5).then(|| rng.next_u64()),
+                heuristic: pick(&mut rng),
+                predicted: time(&mut rng),
+                cache: pick(&mut rng),
+                schedule,
+                simulated: (rng.gen_f64() < 0.5).then(|| (time(&mut rng), rng.next_u64() as usize)),
+            };
+            assert_eq!(render_ok(&ok), render_ok_tree(&ok), "case {case}");
+        }
+        for message in [
+            "",
+            "plain",
+            r#"say "hi" \ bye"#,
+            "line\nfeed\r\ttab\u{0}\u{1f}\u{7f}",
+            "non-ASCII: é ✓ 𝄞",
+        ] {
+            for id in [None, Some(0), Some(u64::MAX)] {
+                assert_eq!(render_error(id, message), render_error_tree(id, message));
+            }
         }
     }
 

@@ -300,3 +300,33 @@ fn batched_duplicates_and_mixed_lines_answer_in_order() {
     assert_eq!(responses[2], responses[0]);
     assert!(responses[3].starts_with(r#"{"status":"ok","stats":"#));
 }
+
+#[test]
+fn latency_is_recorded_once_per_line_when_its_response_is_ready() {
+    let mut server = Server::new(config(1));
+    let small = r#"{"grid":"grid5000_table3"}"#;
+    one(&mut server, small); // cold; fills the cache
+    let before = server.stats().latency.count();
+
+    // Ten cheap lines (hits, an error, a control line), then one cold run
+    // on a far larger grid, last so every cheap line is ready first.
+    let cold = r#"{"grid":{"table2":{"clusters":120,"seed":3,"cluster_size":4}}}"#;
+    let mut lines = vec![small; 8];
+    lines.extend(["garbage", r#"{"cmd":"stats"}"#, cold]);
+    let responses = batch(&mut server, &lines);
+    assert!(responses[..8]
+        .iter()
+        .all(|r| r.contains(r#""cache":"hit""#)));
+    assert!(responses[10].contains(r#""cache":"cold""#));
+
+    let latency = &server.stats().latency;
+    assert_eq!(latency.count() - before, lines.len() as u64);
+    // Ten of the twelve samples end before the cold run starts, so the
+    // median sits in a lower bucket than the slowest sample.
+    assert!(
+        latency.quantile_upper_micros(0.5) < latency.quantile_upper_micros(1.0),
+        "p50 {} µs, max {} µs",
+        latency.quantile_upper_micros(0.5),
+        latency.quantile_upper_micros(1.0)
+    );
+}

@@ -1,7 +1,7 @@
 //! The [`Grid`]: a set of clusters plus inter-cluster link parameters.
 
 use crate::{Cluster, ClusterId, IntraClusterParams, Node, NodeId, SquareMatrix};
-use gridcast_plogp::{Fnv1a, MessageSize, PLogP, Time};
+use gridcast_plogp::{ContentHasher, MessageSize, PLogP, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -219,12 +219,13 @@ impl Grid {
     /// pLogP parameters, hashed by IEEE-754 bit pattern.
     ///
     /// Two grids digest equal iff their parameters are bit-identical — the
-    /// same shape with one link changed by one ULP digests differently. This
-    /// is the grid half of the schedule cache key (the serving layer combines
-    /// it with root and payload identity); being a 64-bit hash it is an index,
-    /// not a proof, so cache lookups pair it with a full equality check.
+    /// same shape with one link changed by one ULP digests differently.
+    /// Being a 64-bit hash it is an index, not a proof: a cache keyed on it
+    /// must pair each lookup with a full equality check. (The schedule cache
+    /// keys on the evaluated problem instead, through
+    /// `BroadcastProblem::content_digest` in `gridcast-core`.)
     pub fn content_digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = ContentHasher::new();
         let n = self.clusters.len();
         h.write_u64(n as u64);
         for c in &self.clusters {

@@ -66,6 +66,12 @@ impl<T> SquareMatrix<T> {
         }
     }
 
+    /// Every entry in row-major order.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
     /// Iterates over `(row, col, &value)` triples in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &T)> {
         self.data
