@@ -1,7 +1,7 @@
 //! Regenerates the gather/exchange-scheduler comparison: the relay-capable
 //! gather policies against the scatter dual on the GRID'5000 Table-3 grid
 //! (the curves coincide — the time-reversal duality made visible), and the
-//! lazy-invalidation exchange scheduler against the retained O(T²) oracle.
+//! per-sender-row exchange scheduler against the retained O(T²) oracle.
 
 use gridcast_experiments::{figures, ExperimentConfig};
 

@@ -9,12 +9,12 @@
 //!   relay-capable *scatter* with the same policy: GRID'5000's links are
 //!   symmetric, so the time-reversal duality makes the two curves coincide
 //!   exactly — the plotted overlap is the duality made visible.
-//! * **Exchange-scheduler scaling** — wall-clock of the lazy-invalidation
-//!   heap ([`ScheduleEngine::schedule_transfers`]) against the retained
+//! * **Exchange-scheduler scaling** — wall-clock of the per-sender-row
+//!   scheduler ([`ScheduleEngine::schedule_transfers`]) against the retained
 //!   O(T²) oracle ([`ScheduleEngine::schedule_transfers_quadratic`]) on
 //!   all-to-all transfer sets of growing cluster count (T = n·(n−1)
-//!   transfers; the heap's observed work is ~O(T^1.5) on these dense sets,
-//!   O(T log T) on sparse ones). The two produce byte-identical schedules
+//!   transfers; on these dense sets the rows evaluate ≈ 2.2·n·T keys and pop
+//!   ≈ 4.4·T row bounds). The two produce byte-identical schedules
 //!   (proptested); only the work differs.
 
 use crate::params::ExperimentConfig;
@@ -90,7 +90,7 @@ pub fn gather_comparison(title: &str, kib_sizes: &[u64]) -> FigureResult {
 /// Runs the exchange-scheduler scaling comparison.
 pub fn run_exchange(_config: &ExperimentConfig) -> FigureResult {
     exchange_scaling(
-        "Exchange scheduler: lazy-invalidation heap vs O(T²) oracle",
+        "Exchange scheduler: per-sender rows vs O(T²) oracle",
         &EXCHANGE_CLUSTERS,
     )
 }
@@ -110,26 +110,26 @@ pub fn alltoall_transfer_set(clusters: usize, seed: u64) -> TransferSet {
 /// divergence).
 pub fn exchange_scaling(title: &str, cluster_counts: &[usize]) -> FigureResult {
     let mut engine = ScheduleEngine::new();
-    let mut heap_ms = Vec::with_capacity(cluster_counts.len());
+    let mut rows_ms = Vec::with_capacity(cluster_counts.len());
     let mut oracle_ms = Vec::with_capacity(cluster_counts.len());
     for (i, &clusters) in cluster_counts.iter().enumerate() {
         let set = alltoall_transfer_set(clusters, 1000 + i as u64);
         let transfers = set.transfers().len() as f64;
         let t0 = std::time::Instant::now();
         let fast = engine.schedule_transfers(&set);
-        let heap_elapsed = t0.elapsed().as_secs_f64() * 1e3;
+        let rows_elapsed = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = std::time::Instant::now();
         let oracle = engine.schedule_transfers_quadratic(&set);
         let oracle_elapsed = t1.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             fast, oracle,
-            "heap and oracle diverge at {clusters} clusters"
+            "rows and oracle diverge at {clusters} clusters"
         );
-        heap_ms.push((transfers, heap_elapsed));
+        rows_ms.push((transfers, rows_elapsed));
         oracle_ms.push((transfers, oracle_elapsed));
     }
     let mut figure = FigureResult::new(title, "transfers (T)", "schedule time (ms)");
-    figure.push(Series::new("Heap (lazy invalidation)", heap_ms));
+    figure.push(Series::new("Per-sender rows", rows_ms));
     figure.push(Series::new("Oracle (O(T²))", oracle_ms));
     figure
 }

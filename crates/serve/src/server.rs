@@ -583,7 +583,9 @@ impl Server {
     }
 
     /// Serves line-delimited requests from `reader` until EOF or a shutdown
-    /// command, writing one response line per request to `writer`.
+    /// command, writing one response line per request to `writer`. Either
+    /// ends this stream only; the socket daemon calls it once per
+    /// connection and keeps accepting.
     ///
     /// Requests are batched adaptively: the loop blocks for the first line,
     /// then drains whatever else has already arrived (up to

@@ -62,7 +62,10 @@ pub enum RequestLine {
     /// `{"cmd":"stats"}` — answer with the server's counters and latency
     /// quantiles.
     Stats,
-    /// `{"cmd":"shutdown"}` — acknowledge and stop serving after this batch.
+    /// `{"cmd":"shutdown"}` — acknowledge and stop serving the current
+    /// stream after this batch. On stdin that ends the daemon; in socket
+    /// mode (`--socket`) it closes only the connection that sent it, and the
+    /// daemon keeps accepting new connections.
     Shutdown,
 }
 

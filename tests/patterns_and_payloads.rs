@@ -14,9 +14,11 @@
 //!   scatter's (scheduled on the transposed grid) bit for bit, for every
 //!   policy, and gather brute force (forward-timed, no mirror involved)
 //!   brackets the greedy on ≤5-cluster instances,
-//! * **exchange-scheduler parity**: the lazy-invalidation heap behind
-//!   `schedule_transfers` is byte-identical to the retained O(T²) oracle on
-//!   random transfer sets with mixed payloads and release times, and
+//! * **exchange-scheduler parity**: the per-sender rows behind
+//!   `schedule_transfers` are byte-identical to the retained O(T²) oracle on
+//!   random transfer sets with mixed payloads and release times, and on
+//!   tie-heavy sets where gaps, latencies and release times sit on a coarse
+//!   dyadic grid and `(from, to)` pairs repeat, and
 //! * **simulator conformance**: `execute_sized_plan` on gather/allgather
 //!   plans reproduces the engine-predicted makespan exactly on grids with
 //!   pair-symmetric latencies (GRID'5000 included) and within the documented
@@ -328,8 +330,8 @@ proptest! {
         }
     }
 
-    /// **Exchange-scheduler parity**: the lazy-invalidation heap behind
-    /// `schedule_transfers` produces byte-identical schedules to the retained
+    /// **Exchange-scheduler parity**: the per-sender rows behind
+    /// `schedule_transfers` produce byte-identical schedules to the retained
     /// O(T²) oracle on random transfer sets — mixed payload sizes, up to 64
     /// clusters, duplicate pairs allowed, random release times included.
     #[test]
@@ -381,6 +383,69 @@ proptest! {
         let oracle_free: Vec<u64> = oracle.interface_free.iter().map(|t| t.as_secs().to_bits()).collect();
         prop_assert_eq!(fast_free, oracle_free);
         prop_assert_eq!(fast.last_arrival, oracle.last_arrival);
+    }
+
+    /// **Exchange-scheduler parity on ties**: the continuous draws above
+    /// almost never produce equal completions, so this arm puts gaps,
+    /// latencies and release times on a coarse dyadic grid (multiples of
+    /// 2⁻¹⁰ s, exact in binary, so different paths sum to equal floats) and
+    /// repeats `(from, to)` pairs. Equal completions are then common and the
+    /// `(from, to, idx)` tie-break decides most picks; the schedules must
+    /// still be byte-identical to the oracle's.
+    #[test]
+    fn exchange_rows_match_the_oracle_on_tie_heavy_sets(
+        clusters in 2usize..=24,
+        transfers in 1usize..=256,
+        seed in any::<u64>(),
+        release_sel in 0u8..=1,
+    ) {
+        let unit = |k: u64| Time::from_secs(k as f64 / 1024.0);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut set = TransferSet::new(clusters);
+        for _ in 0..transfers {
+            let repeat = rng.gen_range_u64(0, 4) == 0;
+            let (from, to) = match set.transfers().last() {
+                Some(prev) if repeat => (prev.from.index(), prev.to.index()),
+                _ => {
+                    let from = rng.gen_range_u64(0, clusters as u64) as usize;
+                    let mut to = rng.gen_range_u64(0, clusters as u64 - 1) as usize;
+                    if to >= from {
+                        to += 1;
+                    }
+                    (from, to)
+                }
+            };
+            set.push(Transfer {
+                from: ClusterId(from),
+                to: ClusterId(to),
+                payload: MessageSize::from_kib(1 + rng.gen_range_u64(0, 4)),
+                gap: unit(1 + rng.gen_range_u64(0, 4)),
+                latency: unit(rng.gen_range_u64(0, 4)),
+            });
+        }
+        let release: Vec<Time> = (0..clusters)
+            .map(|_| if release_sel == 1 { unit(rng.gen_range_u64(0, 4)) } else { Time::ZERO })
+            .collect();
+        let mut engine = ScheduleEngine::new();
+        let fast = engine.schedule_transfers_from(&set, &release);
+        let oracle = engine.schedule_transfers_quadratic_from(&set, &release);
+        prop_assert_eq!(fast.transfers.len(), oracle.transfers.len());
+        for (a, b) in fast.transfers.iter().zip(&oracle.transfers) {
+            prop_assert!(
+                a.from == b.from
+                    && a.to == b.to
+                    && a.payload == b.payload
+                    && a.start.as_secs().to_bits() == b.start.as_secs().to_bits()
+                    && a.arrival.as_secs().to_bits() == b.arrival.as_secs().to_bits(),
+                "rows and oracle diverge on {} clusters / {} transfers", clusters, transfers
+            );
+        }
+        let fast_free: Vec<u64> = fast.interface_free.iter().map(|t| t.as_secs().to_bits()).collect();
+        let oracle_free: Vec<u64> = oracle.interface_free.iter().map(|t| t.as_secs().to_bits()).collect();
+        prop_assert_eq!(fast_free, oracle_free);
+        let fast_last: Vec<u64> = fast.last_arrival.iter().map(|t| t.as_secs().to_bits()).collect();
+        let oracle_last: Vec<u64> = oracle.last_arrival.iter().map(|t| t.as_secs().to_bits()).collect();
+        prop_assert_eq!(fast_last, oracle_last);
     }
 }
 
